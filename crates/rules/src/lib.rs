@@ -27,6 +27,10 @@
 //!   `BULK INSERT` iterates;
 //! * [`cond`] / [`actions`] — condition evaluation and action execution
 //!   against [`rfid_store::Database`] and a procedure registry;
+//! * `lower` — the same binding and actions lowered at load time onto
+//!   slot-indexed frames and resolved table/column handles; the runtime
+//!   fires through it, while [`bind`]/[`cond`]/[`actions`] stay as the
+//!   public interpretive reference;
 //! * [`runtime`] — [`RuleRuntime`]: load a script, feed observations, and
 //!   the rules transform the stream into store rows and procedure calls.
 
@@ -40,6 +44,7 @@ pub mod compile;
 pub mod cond;
 pub mod driver;
 pub mod lint;
+mod lower;
 pub mod parser;
 pub mod runtime;
 pub mod stdlib;

@@ -6,18 +6,18 @@
 //! embedded [`Database`] and the [`Procedures`] registry. This is the
 //! complete loop of Fig. 2: observations in, semantic data and messages out.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 use rceda::{Engine, EngineConfig, RuleId};
 use rfid_events::{Catalog, Observation, Timestamp};
 use rfid_store::{Database, Value};
 
-use crate::actions::{execute, ActionError};
-use crate::ast::{CondAst, EventAst, RuleDecl};
-use crate::bind::{bind, BindError};
+use crate::actions::ActionError;
+use crate::ast::{EventAst, RuleDecl};
+use crate::bind::BindError;
 use crate::compile::{build_defines, compile_event, resolve_aliases, CompileError};
-use crate::cond::eval_cond;
+use crate::lower::{Frame, LoweredRule};
 use crate::parser::{parse_script, ParseError};
 
 /// Errors surfaced by the runtime.
@@ -153,21 +153,57 @@ impl fmt::Debug for Procedures {
 /// One loaded rule with everything a firing needs.
 struct CompiledRule {
     decl: RuleDecl,
-    /// Alias-free event AST (for variable binding).
+    /// Alias-free event AST (recompiled for sharded passes).
     event: EventAst,
+    /// Binding and actions, lowered at load time.
+    lowered: LoweredRule,
+}
+
+/// Everything a firing touches apart from the engine that detected it, so
+/// the engine can be borrowed mutably while its sink fires rules.
+struct Firing {
+    /// The engine owns one catalog copy for matching; this is another for
+    /// binding/conditions/actions while the engine is borrowed.
+    catalog: Catalog,
+    db: Database,
+    procs: Procedures,
+    rules: Vec<CompiledRule>,
+    errors: Vec<RuntimeError>,
+    frame: Frame,
+    /// The [`Database::schema_stamp`] the rules' table and column handles
+    /// were resolved against; 0 (never a stamp) forces a re-resolve.
+    stamp: u64,
+}
+
+impl Firing {
+    /// The one fire path: bind → condition → actions, over the rule's
+    /// lowered form.
+    fn fire(&mut self, rule: RuleId, inst: &rfid_events::Instance) {
+        if self.db.schema_stamp() != self.stamp {
+            for compiled in &mut self.rules {
+                compiled.lowered.resolve(&self.db);
+            }
+            self.stamp = self.db.schema_stamp();
+        }
+        let Some(compiled) = self.rules.get(rule.0 as usize) else {
+            return;
+        };
+        compiled.lowered.fire(
+            inst,
+            &self.catalog,
+            &mut self.db,
+            &mut self.procs,
+            &mut self.frame,
+            &mut self.errors,
+        );
+    }
 }
 
 /// The complete rule-processing runtime.
 pub struct RuleRuntime {
     engine: Engine,
-    /// The engine owns one catalog copy for matching; the runtime keeps
-    /// another for binding/conditions/actions while the engine is borrowed.
-    catalog: Catalog,
-    db: Database,
-    procs: Procedures,
-    rules: Vec<CompiledRule>,
+    firing: Firing,
     defines: HashMap<String, EventAst>,
-    errors: Vec<RuntimeError>,
 }
 
 impl RuleRuntime {
@@ -181,12 +217,16 @@ impl RuleRuntime {
     pub fn with_parts(catalog: Catalog, db: Database, config: EngineConfig) -> Self {
         Self {
             engine: Engine::new(catalog.clone(), config),
-            catalog,
-            db,
-            procs: Procedures::new(),
-            rules: Vec::new(),
+            firing: Firing {
+                catalog,
+                db,
+                procs: Procedures::new(),
+                rules: Vec::new(),
+                errors: Vec::new(),
+                frame: Frame::default(),
+                stamp: 0,
+            },
             defines: HashMap::new(),
-            errors: Vec::new(),
         }
     }
 
@@ -233,10 +273,20 @@ impl RuleRuntime {
     /// unique id … for a rule").
     pub fn load(&mut self, script: &str) -> Result<Vec<RuleId>, RuntimeError> {
         let parsed = parse_script(script)?;
+        // Reports the first rule, in script order, whose id is taken; hashed
+        // so a 500-rule script does not pay a quadratic scan on load.
+        let loaded: HashSet<&str> = self
+            .firing
+            .rules
+            .iter()
+            .map(|r| r.decl.id.as_str())
+            .collect();
+        let mut uses: HashMap<&str, usize> = HashMap::new();
         for rule in &parsed.rules {
-            let clash = self.rules.iter().any(|r| r.decl.id == rule.id)
-                || parsed.rules.iter().filter(|r| r.id == rule.id).count() > 1;
-            if clash {
+            *uses.entry(rule.id.as_str()).or_default() += 1;
+        }
+        for rule in &parsed.rules {
+            if uses[rule.id.as_str()] > 1 || loaded.contains(rule.id.as_str()) {
                 return Err(RuntimeError::DuplicateRuleId(rule.id.clone()));
             }
         }
@@ -248,16 +298,24 @@ impl RuleRuntime {
         // Validate the batch's internal defines too.
         let _ = build_defines(&parsed.defines)?;
         let mut ids = Vec::new();
+        // New rules' handles resolve on the next firing.
+        self.firing.stamp = 0;
         for rule in parsed.rules {
             let event = resolve_aliases(&rule.event, &self.defines)?;
             let expr = compile_event(&event)?;
             let id = self.engine.add_rule(&rule.name, expr)?;
-            debug_assert_eq!(id.0 as usize, self.rules.len());
-            self.rules.push(CompiledRule { decl: rule, event });
+            debug_assert_eq!(id.0 as usize, self.firing.rules.len());
+            let lowered = LoweredRule::new(&rule, &event);
+            self.firing.rules.push(CompiledRule {
+                decl: rule,
+                event,
+                lowered,
+            });
             ids.push(id);
         }
         for dropped in &parsed.drops {
             let idx = self
+                .firing
                 .rules
                 .iter()
                 .position(|r| &r.decl.id == dropped)
@@ -275,6 +333,7 @@ impl RuleRuntime {
         enabled: bool,
     ) -> Result<bool, RuntimeError> {
         let idx = self
+            .firing
             .rules
             .iter()
             .position(|r| r.decl.id == id)
@@ -288,24 +347,15 @@ impl RuleRuntime {
         name: &str,
         handler: impl FnMut(&[Value]) + Send + 'static,
     ) {
-        self.procs.register(name, handler);
+        self.firing.procs.register(name, handler);
     }
 
     /// Feeds one observation; any rule firings run their conditions and
     /// actions immediately.
     pub fn process(&mut self, obs: Observation) {
-        let Self {
-            engine,
-            catalog,
-            db,
-            procs,
-            rules,
-            errors,
-            ..
-        } = self;
-        engine.process(obs, &mut |rule, inst| {
-            fire(rules, rule, inst, catalog, db, procs, errors);
-        });
+        let firing = &mut self.firing;
+        self.engine
+            .process(obs, &mut |rule, inst| firing.fire(rule, inst));
     }
 
     /// Feeds a contiguous batch of observations through the engine's
@@ -313,18 +363,9 @@ impl RuleRuntime {
     /// their conditions and actions exactly as [`RuleRuntime::process`]
     /// would, in the same order.
     pub fn process_batch(&mut self, batch: &[Observation]) {
-        let Self {
-            engine,
-            catalog,
-            db,
-            procs,
-            rules,
-            errors,
-            ..
-        } = self;
-        engine.process_batch(batch, &mut |rule, inst| {
-            fire(rules, rule, inst, catalog, db, procs, errors);
-        });
+        let firing = &mut self.firing;
+        self.engine
+            .process_batch(batch, &mut |rule, inst| firing.fire(rule, inst));
     }
 
     /// Feeds a whole stream and finishes it, chunked through the batch
@@ -375,75 +416,48 @@ impl RuleRuntime {
         stream: I,
         config: rceda::ShardConfig,
     ) -> Result<rceda::EngineStats, RuntimeError> {
-        let mut sharded = rceda::ShardedEngine::new(self.catalog.clone(), config);
-        for (i, compiled) in self.rules.iter().enumerate() {
+        let mut sharded = rceda::ShardedEngine::new(self.firing.catalog.clone(), config);
+        for (i, compiled) in self.firing.rules.iter().enumerate() {
             let expr = compile_event(&compiled.event)?;
             let id = sharded.add_rule(&compiled.decl.name, expr)?;
             debug_assert_eq!(id.0 as usize, i, "sharded ids mirror runtime ids");
         }
-        let Self {
-            engine,
-            catalog,
-            db,
-            procs,
-            rules,
-            errors,
-            ..
-        } = self;
+        let (engine, firing) = (&self.engine, &mut self.firing);
         sharded.process_all(stream, &mut |rule, inst| {
-            if !engine.rule_enabled(rule) {
-                return;
+            if engine.rule_enabled(rule) {
+                firing.fire(rule, inst);
             }
-            fire(rules, rule, inst, catalog, db, procs, errors);
         });
         Ok(sharded.stats())
     }
 
     /// Resolves all pending windows (end of stream).
     pub fn finish(&mut self) {
-        let Self {
-            engine,
-            catalog,
-            db,
-            procs,
-            rules,
-            errors,
-            ..
-        } = self;
-        engine.finish(&mut |rule, inst| {
-            fire(rules, rule, inst, catalog, db, procs, errors);
-        });
+        let firing = &mut self.firing;
+        self.engine
+            .finish(&mut |rule, inst| firing.fire(rule, inst));
     }
 
     /// Advances the clock without an observation (heartbeat).
     pub fn advance_to(&mut self, now: Timestamp) {
-        let Self {
-            engine,
-            catalog,
-            db,
-            procs,
-            rules,
-            errors,
-            ..
-        } = self;
-        engine.advance_to(now, &mut |rule, inst| {
-            fire(rules, rule, inst, catalog, db, procs, errors);
-        });
+        let firing = &mut self.firing;
+        self.engine
+            .advance_to(now, &mut |rule, inst| firing.fire(rule, inst));
     }
 
     /// The data store.
     pub fn db(&self) -> &Database {
-        &self.db
+        &self.firing.db
     }
 
     /// The data store, mutably (seeding test fixtures).
     pub fn db_mut(&mut self) -> &mut Database {
-        &mut self.db
+        &mut self.firing.db
     }
 
     /// The procedure registry (inspect `log` in tests).
     pub fn procedures(&self) -> &Procedures {
-        &self.procs
+        &self.firing.procs
     }
 
     /// The underlying engine (graph inspection).
@@ -475,7 +489,7 @@ impl RuleRuntime {
     /// Errors collected from firings (bad bindings, failed actions). Rule
     /// processing continues past them.
     pub fn errors(&self) -> &[RuntimeError] {
-        &self.errors
+        &self.firing.errors
     }
 
     /// Retrospective detection (§1's history-oriented tracking): asks *new*
@@ -490,6 +504,7 @@ impl RuleRuntime {
         script: &str,
     ) -> Result<(RuleRuntime, usize), RuntimeError> {
         let rows = self
+            .firing
             .db
             .table("OBSERVATION")
             .map(|t| t.iter().cloned().collect::<Vec<_>>())
@@ -503,13 +518,13 @@ impl RuleRuntime {
                 skipped += 1;
                 continue;
             };
-            match self.catalog.reader(name) {
+            match self.firing.catalog.reader(name) {
                 Some(reader) => stream.push(Observation::new(reader, object, at)),
                 None => skipped += 1,
             }
         }
         stream.sort();
-        let mut analysis = RuleRuntime::new(self.catalog.clone());
+        let mut analysis = RuleRuntime::new(self.firing.catalog.clone());
         analysis.load(script)?;
         analysis.process_all(stream);
         Ok((analysis, skipped))
@@ -519,7 +534,7 @@ impl RuleRuntime {
     /// (see [`rfid_store::DurableDatabase`]). Restart with
     /// [`RuleRuntime::with_restored`] to continue over the same data.
     pub fn persist(&self, path: impl Into<std::path::PathBuf>) -> Result<(), rfid_store::WalError> {
-        let durable = rfid_store::DurableDatabase::create(path, self.db.clone())?;
+        let durable = rfid_store::DurableDatabase::create(path, self.firing.db.clone())?;
         drop(durable); // create() syncs before returning
         Ok(())
     }
@@ -539,40 +554,9 @@ impl RuleRuntime {
 
     /// Declared id/name of a rule.
     pub fn rule_decl(&self, id: RuleId) -> Option<(&str, &str)> {
-        self.rules
+        self.firing
+            .rules
             .get(id.0 as usize)
             .map(|r| (r.decl.id.as_str(), r.decl.name.as_str()))
-    }
-}
-
-/// One firing: bind → condition → actions.
-fn fire(
-    rules: &[CompiledRule],
-    rule: RuleId,
-    inst: &rfid_events::Instance,
-    catalog: &Catalog,
-    db: &mut Database,
-    procs: &mut Procedures,
-    errors: &mut Vec<RuntimeError>,
-) {
-    let Some(compiled) = rules.get(rule.0 as usize) else {
-        return;
-    };
-    let bindings = match bind(&compiled.event, inst, catalog) {
-        Ok(b) => b,
-        Err(e) => {
-            errors.push(RuntimeError::Bind(e));
-            return;
-        }
-    };
-    if compiled.decl.condition != CondAst::True
-        && !eval_cond(&compiled.decl.condition, &bindings, inst, catalog, db)
-    {
-        return;
-    }
-    for action in &compiled.decl.actions {
-        if let Err(e) = execute(action, &bindings, inst, catalog, db, procs) {
-            errors.push(RuntimeError::Action(e));
-        }
     }
 }

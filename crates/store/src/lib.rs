@@ -23,12 +23,13 @@
 #![warn(missing_docs)]
 
 pub mod db;
+mod hash;
 pub mod table;
 pub mod temporal;
 pub mod value;
 pub mod wal;
 
-pub use db::{Database, SharedDatabase};
-pub use table::{ColumnType, Cond, CondOp, Filter, Row, Schema, Table, TableError};
+pub use db::{Database, SharedDatabase, TableId};
+pub use table::{ColCond, ColumnType, Cond, CondOp, Filter, Row, Schema, Table, TableError};
 pub use value::Value;
 pub use wal::{DurableDatabase, WalError};

@@ -6,9 +6,10 @@
 //! equality indexes so the location/containment tables stay fast as the
 //! simulator pushes hundreds of thousands of rows through them.
 
-use std::collections::HashMap;
+use std::borrow::Borrow;
 use std::fmt;
 
+use crate::hash::FastMap;
 use crate::value::Value;
 
 /// Declared type of a column.
@@ -169,6 +170,10 @@ impl Filter {
     }
 }
 
+/// A pre-resolved `WHERE` conjunct: `(column index, op, value)`. The value
+/// may be owned or borrowed.
+pub type ColCond<V = Value> = (usize, CondOp, V);
+
 /// Errors from table operations.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TableError {
@@ -188,6 +193,8 @@ pub enum TableError {
     },
     /// A filter references a column the schema does not have.
     NoSuchColumn(String),
+    /// An operation names a table the database does not have.
+    NoSuchTable(String),
 }
 
 impl fmt::Display for TableError {
@@ -200,22 +207,108 @@ impl fmt::Display for TableError {
                 write!(f, "value {value} does not fit column `{column}`")
             }
             Self::NoSuchColumn(c) => write!(f, "no column `{c}`"),
+            Self::NoSuchTable(t) => write!(f, "no table `{t}`"),
         }
     }
 }
 
 impl std::error::Error for TableError {}
 
+/// The ids of the rows holding one value of an indexed column, ascending.
+/// Most keys of an identity column (`object_epc`) hold exactly one row, so
+/// that case is stored inline rather than in a one-element heap `Vec`.
+/// Invariant: `Many` always holds at least two ids.
+#[derive(Debug, Clone)]
+enum Postings {
+    One(usize),
+    Many(Vec<usize>),
+}
+
+impl Postings {
+    fn ids(&self) -> &[usize] {
+        match self {
+            Self::One(id) => std::slice::from_ref(id),
+            Self::Many(ids) => ids,
+        }
+    }
+
+    /// Adds `id`, keeping the list ascending (inserts append, so the common
+    /// case is a push).
+    fn add(&mut self, id: usize) {
+        match self {
+            Self::One(x) => {
+                let x = *x;
+                *self = Self::Many(if x < id { vec![x, id] } else { vec![id, x] });
+            }
+            Self::Many(ids) => match ids.last() {
+                Some(&last) if last < id => ids.push(id),
+                _ => {
+                    let at = ids.partition_point(|&x| x < id);
+                    ids.insert(at, id);
+                }
+            },
+        }
+    }
+
+    /// Removes `id`; returns whether no ids are left.
+    fn remove(&mut self, id: usize) -> bool {
+        match self {
+            Self::One(x) => *x == id,
+            Self::Many(ids) => {
+                if let Ok(at) = ids.binary_search(&id) {
+                    ids.remove(at);
+                }
+                if let [only] = ids[..] {
+                    *self = Self::One(only);
+                }
+                false
+            }
+        }
+    }
+}
+
+/// An equality index on one column: value → ids of the live rows holding it.
+#[derive(Debug, Clone)]
+struct Index {
+    col: usize,
+    map: FastMap<Value, Postings>,
+}
+
+impl Index {
+    fn add(&mut self, key: &Value, id: usize) {
+        match self.map.get_mut(key) {
+            Some(postings) => postings.add(id),
+            None => {
+                self.map.insert(key.clone(), Postings::One(id));
+            }
+        }
+    }
+
+    /// Removes `id` from `key`'s postings, dropping the key once empty so
+    /// the index never outgrows the live rows.
+    fn remove(&mut self, key: &Value, id: usize) {
+        if let Some(postings) = self.map.get_mut(key) {
+            if postings.remove(id) {
+                self.map.remove(key);
+            }
+        }
+    }
+
+    fn ids(&self, key: &Value) -> &[usize] {
+        self.map.get(key).map_or(&[], Postings::ids)
+    }
+}
+
 /// A table: schema, row storage, and optional equality indexes.
 #[derive(Debug, Clone)]
 pub struct Table {
     schema: Schema,
     rows: Vec<Row>,
-    /// Live-row flags (deletes are tombstoned; compaction rebuilds indexes).
+    /// Live-row flags (deletes are tombstoned and leave the indexes).
     live: Vec<bool>,
     live_count: usize,
-    /// column index → value → row ids.
-    indexes: HashMap<usize, HashMap<Value, Vec<usize>>>,
+    /// One equality index per indexed column, in creation order.
+    indexes: Vec<Index>,
 }
 
 impl Table {
@@ -226,7 +319,7 @@ impl Table {
             rows: Vec::new(),
             live: Vec::new(),
             live_count: 0,
-            indexes: HashMap::new(),
+            indexes: Vec::new(),
         }
     }
 
@@ -248,20 +341,62 @@ impl Table {
     /// Adds an equality index on a column. Indexing an unknown column is an
     /// error; indexing twice is a no-op.
     pub fn create_index(&mut self, column: &str) -> Result<(), TableError> {
-        let col = self
-            .schema
-            .col(column)
-            .ok_or_else(|| TableError::NoSuchColumn(column.to_owned()))?;
-        if self.indexes.contains_key(&col) {
+        let col = self.col_of(column)?;
+        if self.indexes.iter().any(|index| index.col == col) {
             return Ok(());
         }
-        let mut index: HashMap<Value, Vec<usize>> = HashMap::new();
+        let mut index = Index {
+            col,
+            map: FastMap::default(),
+        };
         for (id, row) in self.rows.iter().enumerate() {
             if self.live[id] {
-                index.entry(row[col].clone()).or_default().push(id);
+                index.add(&row[col], id);
             }
         }
-        self.indexes.insert(col, index);
+        self.indexes.push(index);
+        Ok(())
+    }
+
+    /// Number of distinct keys in the index on `column`, or `None` when the
+    /// column has no index.
+    pub fn index_key_count(&self, column: &str) -> Option<usize> {
+        let col = self.schema.col(column)?;
+        self.indexes
+            .iter()
+            .find(|index| index.col == col)
+            .map(|index| index.map.len())
+    }
+
+    /// Checks every equality index against a full scan: each live row is
+    /// listed exactly once under its current value, lists are ascending,
+    /// no list is empty, and nothing else is listed. For tests.
+    pub fn verify_indexes(&self) -> Result<(), String> {
+        for index in &self.indexes {
+            let name = &self.schema.columns[index.col].0;
+            let mut listed = 0usize;
+            for (key, postings) in &index.map {
+                let ids = postings.ids();
+                if ids.is_empty() || matches!(postings, Postings::Many(v) if v.len() < 2) {
+                    return Err(format!("index `{name}`: key {key} has {} ids", ids.len()));
+                }
+                if ids.windows(2).any(|w| w[0] >= w[1]) {
+                    return Err(format!("index `{name}`: key {key} lists {ids:?}"));
+                }
+                for &id in ids {
+                    if !self.live[id] || self.rows[id][index.col] != *key {
+                        return Err(format!("index `{name}`: key {key} lists stale row {id}"));
+                    }
+                }
+                listed += ids.len();
+            }
+            if listed != self.live_count {
+                return Err(format!(
+                    "index `{name}` lists {listed} rows, table has {}",
+                    self.live_count
+                ));
+            }
+        }
         Ok(())
     }
 
@@ -269,8 +404,8 @@ impl Table {
     pub fn insert(&mut self, row: Row) -> Result<(), TableError> {
         self.schema.check_row(&row)?;
         let id = self.rows.len();
-        for (&col, index) in &mut self.indexes {
-            index.entry(row[col].clone()).or_default().push(id);
+        for index in &mut self.indexes {
+            index.add(&row[index.col], id);
         }
         self.rows.push(row);
         self.live.push(true);
@@ -278,41 +413,67 @@ impl Table {
         Ok(())
     }
 
-    /// Row ids matching a filter, ascending (insertion order).
-    fn matching_ids(&self, filter: &Filter) -> Result<Vec<usize>, TableError> {
-        // Resolve columns once; prefer an indexed equality conjunct as the
-        // driving access path.
-        let mut resolved: Vec<(usize, CondOp, &Value)> = Vec::with_capacity(filter.conds.len());
-        for cond in &filter.conds {
-            let col = self
-                .schema
-                .col(&cond.column)
-                .ok_or_else(|| TableError::NoSuchColumn(cond.column.clone()))?;
-            resolved.push((col, cond.op, &cond.value));
-        }
-        let driver = resolved
-            .iter()
-            .find(|(col, op, _)| *op == CondOp::Eq && self.indexes.contains_key(col));
-        let check = |id: usize| -> bool {
-            self.live[id]
-                && resolved
-                    .iter()
-                    .all(|(col, op, value)| cond_holds(&self.rows[id][*col], *op, value))
-        };
-        let ids = match driver {
-            Some((col, _, value)) => {
-                let candidates = self.indexes[col].get(*value).map_or(&[][..], Vec::as_slice);
-                candidates.iter().copied().filter(|&id| check(id)).collect()
-            }
-            None => (0..self.rows.len()).filter(|&id| check(id)).collect(),
-        };
-        Ok(ids)
+    fn col_of(&self, column: &str) -> Result<usize, TableError> {
+        self.schema
+            .col(column)
+            .ok_or_else(|| TableError::NoSuchColumn(column.to_owned()))
     }
 
-    /// Returns clones of the rows matching a filter.
+    /// Resolves a by-name filter to column indexes.
+    fn resolve<'f>(&self, filter: &'f Filter) -> Result<Vec<ColCond<&'f Value>>, TableError> {
+        filter
+            .conds
+            .iter()
+            .map(|cond| Ok((self.col_of(&cond.column)?, cond.op, &cond.value)))
+            .collect()
+    }
+
+    /// Checks that `value` may be stored in column `col`.
+    fn check_cell(&self, col: usize, value: &Value) -> Result<(), TableError> {
+        let (name, ty) = self
+            .schema
+            .columns
+            .get(col)
+            .ok_or_else(|| TableError::NoSuchColumn(format!("#{col}")))?;
+        if ty.accepts(value) {
+            Ok(())
+        } else {
+            Err(TableError::Type {
+                column: name.clone(),
+                value: value.clone(),
+            })
+        }
+    }
+
+    /// Row ids matching resolved conjuncts, ascending (insertion order). An
+    /// indexed equality conjunct, when there is one, drives the lookup.
+    fn matching_ids<V: Borrow<Value>>(
+        &self,
+        conds: &[ColCond<V>],
+    ) -> Result<Vec<usize>, TableError> {
+        if let Some((col, ..)) = conds.iter().find(|(col, ..)| *col >= self.schema.arity()) {
+            return Err(TableError::NoSuchColumn(format!("#{col}")));
+        }
+        let check = |id: usize| -> bool {
+            self.live[id]
+                && conds
+                    .iter()
+                    .all(|(col, op, value)| cond_holds(&self.rows[id][*col], *op, value.borrow()))
+        };
+        let driver = conds.iter().find_map(|(col, op, value)| {
+            let index = self.indexes.iter().find(|index| index.col == *col)?;
+            (*op == CondOp::Eq).then(|| index.ids(value.borrow()))
+        });
+        Ok(match driver {
+            Some(candidates) => candidates.iter().copied().filter(|&id| check(id)).collect(),
+            None => (0..self.rows.len()).filter(|&id| check(id)).collect(),
+        })
+    }
+
+    /// Returns clones of the rows matching a filter, in insertion order.
     pub fn select(&self, filter: &Filter) -> Result<Vec<Row>, TableError> {
         Ok(self
-            .matching_ids(filter)?
+            .matching_ids(&self.resolve(filter)?)?
             .into_iter()
             .map(|id| self.rows[id].clone())
             .collect())
@@ -320,7 +481,15 @@ impl Table {
 
     /// Number of rows matching a filter.
     pub fn count(&self, filter: &Filter) -> Result<usize, TableError> {
-        Ok(self.matching_ids(filter)?.len())
+        self.count_resolved(&self.resolve(filter)?)
+    }
+
+    /// [`Table::count`] over pre-resolved conjuncts.
+    pub fn count_resolved<V: Borrow<Value>>(
+        &self,
+        conds: &[ColCond<V>],
+    ) -> Result<usize, TableError> {
+        Ok(self.matching_ids(conds)?.len())
     }
 
     /// Applies `SET column = value` assignments to matching rows. Returns
@@ -330,30 +499,37 @@ impl Table {
         filter: &Filter,
         assignments: &[(String, Value)],
     ) -> Result<usize, TableError> {
-        let mut sets: Vec<(usize, &Value)> = Vec::with_capacity(assignments.len());
+        let mut sets = Vec::with_capacity(assignments.len());
         for (column, value) in assignments {
-            let col = self
-                .schema
-                .col(column)
-                .ok_or_else(|| TableError::NoSuchColumn(column.clone()))?;
-            if !self.schema.columns[col].1.accepts(value) {
-                return Err(TableError::Type {
-                    column: column.clone(),
-                    value: value.clone(),
-                });
-            }
+            let col = self.col_of(column)?;
+            self.check_cell(col, value)?;
             sets.push((col, value));
         }
-        let ids = self.matching_ids(filter)?;
+        let conds = self.resolve(filter)?;
+        self.update_resolved(&conds, &sets)
+    }
+
+    /// [`Table::update`] over pre-resolved conjuncts and `(column, value)`
+    /// assignments. Every assigned value is type-checked against its column
+    /// before any row changes.
+    pub fn update_resolved<V: Borrow<Value>, W: Borrow<Value>>(
+        &mut self,
+        conds: &[ColCond<V>],
+        sets: &[(usize, W)],
+    ) -> Result<usize, TableError> {
+        for (col, value) in sets {
+            self.check_cell(*col, value.borrow())?;
+        }
+        let ids = self.matching_ids(conds)?;
         for &id in &ids {
-            for &(col, value) in &sets {
-                if let Some(index) = self.indexes.get_mut(&col) {
-                    if let Some(v) = index.get_mut(&self.rows[id][col]) {
-                        v.retain(|&x| x != id);
-                    }
-                    index.entry(value.clone()).or_default().push(id);
+            let row = &mut self.rows[id];
+            for (col, value) in sets {
+                let value = value.borrow();
+                if let Some(index) = self.indexes.iter_mut().find(|index| index.col == *col) {
+                    index.remove(&row[*col], id);
+                    index.add(value, id);
                 }
-                self.rows[id][col] = value.clone();
+                row[*col] = value.clone();
             }
         }
         Ok(ids.len())
@@ -361,10 +537,22 @@ impl Table {
 
     /// Deletes matching rows (tombstoning). Returns the number deleted.
     pub fn delete(&mut self, filter: &Filter) -> Result<usize, TableError> {
-        let ids = self.matching_ids(filter)?;
+        let conds = self.resolve(filter)?;
+        self.delete_resolved(&conds)
+    }
+
+    /// [`Table::delete`] over pre-resolved conjuncts.
+    pub fn delete_resolved<V: Borrow<Value>>(
+        &mut self,
+        conds: &[ColCond<V>],
+    ) -> Result<usize, TableError> {
+        let ids = self.matching_ids(conds)?;
         for &id in &ids {
             self.live[id] = false;
             self.live_count -= 1;
+            for index in &mut self.indexes {
+                index.remove(&self.rows[id][index.col], id);
+            }
         }
         Ok(ids.len())
     }
@@ -548,6 +736,110 @@ mod tests {
         }
         let f = Filter::on(Cond::eq("object_epc", epc(0)));
         assert_eq!(t.count(&f).unwrap(), t.select(&f).unwrap().len());
+    }
+
+    #[test]
+    fn update_churn_does_not_grow_the_index() {
+        // Rows hop between 4 locations 1,000 times; an index on `loc_id`
+        // must end up with the locations still occupied, not every value
+        // it ever held.
+        let mut t = location_table();
+        t.create_index("loc_id").unwrap();
+        for i in 0..8 {
+            t.insert(row(i, "loc0", 0, None)).unwrap();
+        }
+        for step in 0..1_000u64 {
+            let serial = step % 8;
+            let loc = format!("loc{}", (step / 8 + 1) % 4);
+            let n = t
+                .update(
+                    &Filter::on(Cond::eq("object_epc", epc(serial))),
+                    &[("loc_id".to_owned(), Value::str(loc))],
+                )
+                .unwrap();
+            assert_eq!(n, 1);
+        }
+        let occupied: std::collections::HashSet<_> = t.iter().map(|r| r[1].clone()).collect();
+        assert_eq!(t.index_key_count("loc_id"), Some(occupied.len()));
+        assert_eq!(t.index_key_count("object_epc"), Some(8));
+        t.verify_indexes().unwrap();
+        // Moving everything to one value leaves one key.
+        t.update(&Filter::all(), &[("loc_id".to_owned(), Value::str("x"))])
+            .unwrap();
+        assert_eq!(t.index_key_count("loc_id"), Some(1));
+        t.verify_indexes().unwrap();
+    }
+
+    #[test]
+    fn delete_removes_rows_from_indexes() {
+        let mut t = location_table();
+        for i in 0..6 {
+            t.insert(row(i % 2, "a", i, None)).unwrap();
+        }
+        t.delete(&Filter::on(Cond::eq("object_epc", epc(1))))
+            .unwrap();
+        assert_eq!(t.index_key_count("object_epc"), Some(1));
+        t.verify_indexes().unwrap();
+        assert_eq!(t.index_key_count("loc_id"), None, "not indexed");
+    }
+
+    #[test]
+    fn resolved_calls_match_by_name_calls() {
+        let mut t = location_table();
+        for i in 0..6 {
+            t.insert(row(i % 3, "a", i, None)).unwrap();
+        }
+        let conds = [
+            (0, CondOp::Eq, Value::Epc(epc(1))),
+            (2, CondOp::Ge, Value::Time(Timestamp::from_secs(2))),
+        ];
+        let filter = Filter::on(Cond::eq("object_epc", epc(1))).and(Cond::new(
+            "tstart",
+            CondOp::Ge,
+            Timestamp::from_secs(2),
+        ));
+        assert_eq!(t.count_resolved(&conds).unwrap(), t.count(&filter).unwrap());
+        assert_eq!(
+            t.update_resolved(&conds, &[(1, Value::str("b"))]).unwrap(),
+            1
+        );
+        assert_eq!(t.select(&filter).unwrap()[0][1], Value::str("b"));
+        assert!(matches!(
+            t.update_resolved(&conds, &[(1, Value::Int(3))]),
+            Err(TableError::Type { .. })
+        ));
+        assert!(matches!(
+            t.count_resolved(&[(9, CondOp::Eq, Value::Null)]),
+            Err(TableError::NoSuchColumn(_))
+        ));
+        assert_eq!(t.delete_resolved(&conds).unwrap(), 1);
+        assert_eq!(t.len(), 5);
+        t.verify_indexes().unwrap();
+    }
+
+    #[test]
+    fn by_name_update_reports_errors_in_declaration_order() {
+        let mut t = location_table();
+        t.insert(row(1, "a", 0, None)).unwrap();
+        // A type error in the first assignment wins over a missing column
+        // in the second, and over a missing WHERE column.
+        let err = t
+            .update(
+                &Filter::on(Cond::eq("bogus_where", 1i64)),
+                &[
+                    ("loc_id".to_owned(), Value::Int(1)),
+                    ("bogus_set".to_owned(), Value::Int(1)),
+                ],
+            )
+            .unwrap_err();
+        assert!(matches!(err, TableError::Type { .. }), "{err}");
+        let err = t
+            .update(
+                &Filter::on(Cond::eq("bogus_where", 1i64)),
+                &[("loc_id".to_owned(), Value::str("b"))],
+            )
+            .unwrap_err();
+        assert_eq!(err, TableError::NoSuchColumn("bogus_where".into()));
     }
 
     #[test]

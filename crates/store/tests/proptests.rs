@@ -124,3 +124,137 @@ proptest! {
         prop_assert_eq!(table.len(), rows.len() - deleted);
     }
 }
+
+/// One step of the index workload: the `a`/`b` columns are indexed, `c`
+/// is not.
+#[derive(Debug, Clone)]
+enum IndexOp {
+    Insert(i64, u8, i64),
+    /// `UPDATE SET <col> = v WHERE <where_col> = w AND c >= floor`.
+    Update {
+        col: usize,
+        value: i64,
+        where_col: usize,
+        where_value: i64,
+        floor: i64,
+    },
+    /// `DELETE WHERE <where_col> = w`.
+    Delete {
+        where_col: usize,
+        where_value: i64,
+    },
+}
+
+fn index_ops() -> impl Strategy<Value = Vec<IndexOp>> {
+    prop::collection::vec(
+        prop_oneof![
+            (0i64..6, 0u8..4, 0i64..10).prop_map(|(a, b, c)| IndexOp::Insert(a, b, c)),
+            (0usize..3, 0i64..6, 0usize..3, 0i64..6, 0i64..10).prop_map(
+                |(col, value, where_col, where_value, floor)| IndexOp::Update {
+                    col,
+                    value,
+                    where_col,
+                    where_value,
+                    floor,
+                }
+            ),
+            (0usize..3, 0i64..6).prop_map(|(where_col, where_value)| IndexOp::Delete {
+                where_col,
+                where_value,
+            }),
+        ],
+        0..80,
+    )
+}
+
+const INDEX_COLS: [&str; 3] = ["a", "b", "c"];
+
+/// The cell value `v` takes in column `col` (`b` holds strings).
+fn cell(col: usize, v: i64) -> Value {
+    if col == 1 {
+        Value::str(format!("s{v}"))
+    } else {
+        Value::Int(v)
+    }
+}
+
+proptest! {
+    /// Random inserts, updates, and deletes on a table with two equality
+    /// indexes: every indexed-equality `select`/`count` equals a full scan
+    /// of a reference model, rows come back in ascending row-id order, and
+    /// no index key is left with an empty posting list.
+    #[test]
+    fn indexed_lookups_match_a_full_scan(ops in index_ops()) {
+        use rfid_store::{ColumnType, Schema, Table};
+        let mut table = Table::new(Schema::new(&[
+            ("a", ColumnType::Int),
+            ("b", ColumnType::Str),
+            ("c", ColumnType::Int),
+        ]));
+        table.create_index("a").unwrap();
+        table.create_index("b").unwrap();
+        // Reference: every row ever inserted, `None` once deleted.
+        let mut model: Vec<Option<Vec<Value>>> = Vec::new();
+        for op in &ops {
+            match *op {
+                IndexOp::Insert(a, b, c) => {
+                    let row = vec![Value::Int(a), cell(1, i64::from(b)), Value::Int(c)];
+                    table.insert(row.clone()).unwrap();
+                    model.push(Some(row));
+                }
+                IndexOp::Update { col, value, where_col, where_value, floor } => {
+                    let filter = Filter::on(Cond::eq(INDEX_COLS[where_col], cell(where_col, where_value)))
+                        .and(Cond::new("c", CondOp::Ge, floor));
+                    let n = table
+                        .update(&filter, &[(INDEX_COLS[col].to_owned(), cell(col, value))])
+                        .unwrap();
+                    let mut expected = 0;
+                    for row in model.iter_mut().flatten() {
+                        if row[where_col] == cell(where_col, where_value) && row[2].compare(&Value::Int(floor)) != Some(std::cmp::Ordering::Less) {
+                            row[col] = cell(col, value);
+                            expected += 1;
+                        }
+                    }
+                    prop_assert_eq!(n, expected);
+                }
+                IndexOp::Delete { where_col, where_value } => {
+                    let filter = Filter::on(Cond::eq(INDEX_COLS[where_col], cell(where_col, where_value)));
+                    let n = table.delete(&filter).unwrap();
+                    let mut expected = 0;
+                    for slot in &mut model {
+                        if slot.as_ref().is_some_and(|row| row[where_col] == cell(where_col, where_value)) {
+                            *slot = None;
+                            expected += 1;
+                        }
+                    }
+                    prop_assert_eq!(n, expected);
+                }
+            }
+            table.verify_indexes().unwrap();
+        }
+        for col in 0..2 {
+            for v in 0..6 {
+                let key = cell(col, v);
+                let expected: Vec<Vec<Value>> = model
+                    .iter()
+                    .flatten()
+                    .filter(|row| row[col] == key)
+                    .cloned()
+                    .collect();
+                let filter = Filter::on(Cond::eq(INDEX_COLS[col], key.clone()));
+                prop_assert_eq!(&table.select(&filter).unwrap(), &expected);
+                prop_assert_eq!(table.count(&filter).unwrap(), expected.len());
+                let narrowed = filter.and(Cond::new("c", CondOp::Lt, 5i64));
+                let expected_narrowed = expected.iter().filter(|row| row[2].compare(&Value::Int(5)) == Some(std::cmp::Ordering::Less)).count();
+                prop_assert_eq!(table.count(&narrowed).unwrap(), expected_narrowed);
+                let keys = table.index_key_count(INDEX_COLS[col]).unwrap();
+                let live_keys: std::collections::HashSet<&Value> =
+                    model.iter().flatten().map(|row| &row[col]).collect();
+                prop_assert_eq!(keys, live_keys.len());
+            }
+        }
+        let scanned: Vec<&Vec<Value>> = table.iter().collect();
+        let expected: Vec<&Vec<Value>> = model.iter().flatten().collect();
+        prop_assert_eq!(scanned, expected);
+    }
+}

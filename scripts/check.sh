@@ -37,6 +37,22 @@ echo "== subsumption-drop differential suite =="
 # multiset under both executors and both merge settings.
 cargo test -q -p rceda --test subsumption_drop
 
+echo "== lowered/interpreted firing differential suite =="
+# The runtime's load-time-lowered firing path must leave the same rows (in
+# order), procedure log and error texts as the interpretive bind/eval_cond/
+# execute chain on the same detections.
+cargo test -q -p rfid-rules --test lowered_equivalence
+
+echo "== store index property suite =="
+# Random insert/update/delete sequences: indexed equality lookups equal a
+# full scan, in row-id order, and no index key keeps an empty posting list.
+cargo test -q -p rfid-store --test proptests
+
+echo "== pipebench smoke test =="
+# The end-to-end benchmark builds against the public rules/store APIs; its
+# smoke test runs every workload at 1% size with every output check on.
+cargo test -q --release --manifest-path pipebench/Cargo.toml
+
 echo "== rceda-lint (canonical rule programs) =="
 # The Rule 1-5 program and the 512-rule containment workload must lint
 # free of error-level findings; rceda-lint exits 1 on any E-code.
