@@ -9,20 +9,23 @@
 //! reports its speedup against it. `scripts/bench_gate.sh` reads the JSON
 //! this writes and fails the build on a >15% regression.
 //!
+//! The headline row feeds the trace one observation at a time through
+//! `Engine::process` (a one-element batch).
+//!
 //! Flags:
-//! * `--plan` / `--graph` — measure only the compiled-plan executor or
-//!   only the graph-walker oracle. The default measures both (plan is the
-//!   headline, the walker row is the ablation).
 //! * `--events N` — trace length override (CI smoke runs use a small N).
-//! * `--reps N` — measured passes per mode (default 5). min-of-N is the
+//! * `--reps N` — measured passes per row (default 5). min-of-N is the
 //!   headline estimator, so more passes tighten it on a noisy box.
 //! * `--batch-size N` — restrict the batch ablation to one chunk size
-//!   (`0` disables it: scalar only). The default sweeps 64/256/1024/4096
-//!   through `Engine::process_batch` on the plan executor and reports
-//!   each size's in-run speedup against the scalar plan row measured in
-//!   the same invocation.
+//!   (`0` disables it: per-observation only). The default sweeps
+//!   64/256/1024/4096 through `Engine::process_batch` and reports each
+//!   size's in-run speedup against the per-observation row measured in the
+//!   same invocation.
+//!
+//! The JSON keeps the historical `scalar` names for the per-observation
+//! row (`batch_scalar_eps`, `speedup_vs_scalar`).
 
-use rceda::{EngineConfig, ExecMode};
+use rceda::EngineConfig;
 use rfid_bench::report::{self, JsonBuf};
 use rfid_bench::{bare_engine, time_engine_batch_pass, time_engine_pass, BenchWorkload};
 
@@ -33,14 +36,14 @@ const REPS: usize = 5;
 /// narrows it to one point, `--batch-size 0` drops it entirely.
 const BATCH_SIZES: [usize; 4] = [64, 256, 1024, 4096];
 
-/// Single-threaded ev/s of the pre-lowering engine (the graph walker,
-/// commit prior to the compiled-plan refactor) on this workload, same
-/// machine class, recorded in `results/BENCH_hotpath.json` at the time.
+/// Single-threaded ev/s of the pre-lowering engine (the retired graph
+/// walker, commit prior to the compiled-plan refactor) on this workload,
+/// same machine class, recorded in `results/BENCH_hotpath.json` at the
+/// time.
 const PRE_PR_BASELINE_EPS: f64 = 1_515_436.4;
 
-/// One executor's measurement: the per-mode row of the ablation.
-struct ModeRun {
-    mode: ExecMode,
+/// The headline measurement: per-observation `process`.
+struct Headline {
     passes: Vec<f64>,
     best_ms: f64,
     median_ms: f64,
@@ -48,20 +51,13 @@ struct ModeRun {
     firings: u64,
 }
 
-/// One batch-size point of the ablation: the vectorized path on the plan
-/// executor, compared in-run against the scalar plan row.
+/// One batch-size point of the ablation: chunked `process_batch`,
+/// compared in-run against the per-observation row.
 struct BatchRun {
     batch: usize,
     passes: Vec<f64>,
     best_ms: f64,
     eps: f64,
-}
-
-fn mode_name(mode: ExecMode) -> &'static str {
-    match mode {
-        ExecMode::Plan => "plan",
-        ExecMode::Graph => "graph",
-    }
 }
 
 fn main() {
@@ -86,90 +82,57 @@ fn main() {
         Some(n) => vec![n],
         None => BATCH_SIZES.to_vec(),
     };
-    let modes: &[ExecMode] = match (
-        args.iter().any(|a| a == "--plan"),
-        args.iter().any(|a| a == "--graph"),
-    ) {
-        (true, false) => &[ExecMode::Plan],
-        (false, true) => &[ExecMode::Graph],
-        // Headline first: the gate and the JSON lead with the plan row.
-        _ => &[ExecMode::Plan, ExecMode::Graph],
-    };
-
     let workload = BenchWorkload::with_config(rfid_simulator::SimConfig::paper_scale());
     let trace = workload.trace(events);
     let stream = &trace.observations;
 
     println!("Hot-path gate — single-threaded Fig. 9 workload");
-    let mut runs = Vec::with_capacity(modes.len());
-    let mut rules = 0;
-    for &mode in modes {
-        let config = EngineConfig {
-            exec: mode,
-            ..EngineConfig::default()
-        };
+    let config = EngineConfig::default();
 
-        // Warm-up pass: fills the allocator's caches and faults in the
-        // trace so the measured passes see steady state. Each measured pass
-        // gets a fresh engine — the hash-consed instance catalog is
-        // append-only and would otherwise grow across replays, degrading
-        // lookups pass over pass.
-        let mut warm = bare_engine(&workload, config.clone());
-        rules = warm.rule_count();
-        let (warm_ms, warm_firings) = time_engine_pass(&mut warm, stream);
-        eprintln!(
-            "  [{}] warm-up: {warm_ms:.1} ms, {warm_firings} firings",
-            mode_name(mode)
-        );
-        drop(warm);
+    // Warm-up pass: fills the allocator's caches and faults in the trace
+    // so the measured passes see steady state. Each measured pass gets a
+    // fresh engine — the hash-consed instance catalog is append-only and
+    // would otherwise grow across replays, degrading lookups pass over
+    // pass.
+    let mut warm = bare_engine(&workload, config.clone());
+    let rules = warm.rule_count();
+    let (warm_ms, firings) = time_engine_pass(&mut warm, stream);
+    eprintln!("  [process] warm-up: {warm_ms:.1} ms, {firings} firings");
+    drop(warm);
 
-        let mut passes = Vec::with_capacity(reps);
-        for rep in 0..reps {
-            let mut engine = bare_engine(&workload, config.clone());
-            let (elapsed_ms, firings) = time_engine_pass(&mut engine, stream);
-            assert_eq!(firings, warm_firings, "firing count changed across replays");
-            eprintln!(
-                "  [{}] pass {}: {elapsed_ms:.1} ms",
-                mode_name(mode),
-                rep + 1
-            );
-            passes.push(elapsed_ms);
-        }
-
-        // Headline metric is the best pass: on a contended box interference
-        // only ever adds time, so min-of-N is the least-noise estimator of
-        // true cost (the median is still recorded in the JSON for context).
-        let best_ms = passes.iter().copied().fold(f64::INFINITY, f64::min);
-        let median_ms = {
-            let mut sorted = passes.clone();
-            sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-            sorted[sorted.len() / 2]
-        };
-        let eps = report::eps(stream.len(), best_ms);
-        runs.push(ModeRun {
-            mode,
-            passes,
-            best_ms,
-            median_ms,
-            eps,
-            firings: warm_firings,
-        });
+    let mut passes = Vec::with_capacity(reps);
+    for rep in 0..reps {
+        let mut engine = bare_engine(&workload, config.clone());
+        let (elapsed_ms, pass_firings) = time_engine_pass(&mut engine, stream);
+        assert_eq!(pass_firings, firings, "firing count changed across replays");
+        eprintln!("  [process] pass {}: {elapsed_ms:.1} ms", rep + 1);
+        passes.push(elapsed_ms);
     }
 
-    // Batch-size ablation: the vectorized path on the plan executor,
-    // interleaved with the scalar rows above in the *same invocation* so
-    // the speedup ratio is in-run (same box state, same trace) rather
-    // than cross-run. Firings must be byte-identical to the scalar pass.
-    let scalar_plan = runs.iter().position(|r| matches!(r.mode, ExecMode::Plan));
+    // Headline metric is the best pass: on a contended box interference
+    // only ever adds time, so min-of-N is the least-noise estimator of
+    // true cost (the median is still recorded in the JSON for context).
+    let best_ms = passes.iter().copied().fold(f64::INFINITY, f64::min);
+    let median_ms = {
+        let mut sorted = passes.clone();
+        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
+        sorted[sorted.len() / 2]
+    };
+    let headline = Headline {
+        eps: report::eps(stream.len(), best_ms),
+        passes,
+        best_ms,
+        median_ms,
+        firings,
+    };
+
+    // Batch-size ablation: chunked `process_batch`, interleaved with the
+    // per-observation row above in the *same invocation* so the speedup
+    // ratio is in-run (same box state, same trace) rather than cross-run.
+    // Firings must be byte-identical to the per-observation pass.
     let mut batch_runs = Vec::with_capacity(batch_sizes.len());
-    if let Some(plan_idx) = scalar_plan.filter(|_| !batch_sizes.is_empty()) {
-        let scalar_firings = runs[plan_idx].firings;
-        let config = EngineConfig {
-            exec: ExecMode::Plan,
-            ..EngineConfig::default()
-        };
-        // Symmetric warm-up through the batch path (the scalar rows each
-        // warmed up above).
+    if !batch_sizes.is_empty() {
+        // Symmetric warm-up through the batch path.
         let mut warm = bare_engine(&workload, config.clone());
         let (warm_ms, _) = time_engine_batch_pass(&mut warm, stream, batch_sizes[0]);
         eprintln!("  [batch] warm-up: {warm_ms:.1} ms");
@@ -178,10 +141,11 @@ fn main() {
             let mut passes = Vec::with_capacity(reps);
             for rep in 0..reps {
                 let mut engine = bare_engine(&workload, config.clone());
-                let (elapsed_ms, firings) = time_engine_batch_pass(&mut engine, stream, batch);
+                let (elapsed_ms, batch_firings) =
+                    time_engine_batch_pass(&mut engine, stream, batch);
                 assert_eq!(
-                    firings, scalar_firings,
-                    "batch={batch} diverged from the scalar firing count"
+                    batch_firings, firings,
+                    "batch={batch} diverged from the per-observation firing count"
                 );
                 eprintln!("  [batch {batch}] pass {}: {elapsed_ms:.1} ms", rep + 1);
                 passes.push(elapsed_ms);
@@ -197,101 +161,80 @@ fn main() {
         }
     }
 
-    let headline = &runs[0];
     let speedup = headline.eps / PRE_PR_BASELINE_EPS;
     println!(
         "  events: {} | rules: {rules} | firings: {}",
         stream.len(),
         headline.firings
     );
-    for run in &runs {
+    println!(
+        "  [process] best of {} passes: {:.1} ms ({:.0} ev/s) | median: {:.1} ms",
+        headline.passes.len(),
+        headline.best_ms,
+        headline.eps,
+        headline.median_ms
+    );
+    for b in &batch_runs {
         println!(
-            "  [{}] best of {} passes: {:.1} ms ({:.0} ev/s) | median: {:.1} ms",
-            mode_name(run.mode),
-            run.passes.len(),
-            run.best_ms,
-            run.eps,
-            run.median_ms
+            "  [batch {:>5}] best of {} passes: {:.1} ms ({:.0} ev/s) | vs process: {:.2}x",
+            b.batch,
+            b.passes.len(),
+            b.best_ms,
+            b.eps,
+            b.eps / headline.eps
         );
     }
-    if runs.len() == 2 {
-        println!("  plan vs graph: {:.2}x", runs[0].eps / runs[1].eps);
-    }
-    let scalar_eps = scalar_plan.map(|i| runs[i].eps);
-    if let Some(scalar_eps) = scalar_eps {
-        for b in &batch_runs {
-            println!(
-                "  [batch {:>5}] best of {} passes: {:.1} ms ({:.0} ev/s) | vs scalar: {:.2}x",
-                b.batch,
-                b.passes.len(),
-                b.best_ms,
-                b.eps,
-                b.eps / scalar_eps
-            );
-        }
-        if let Some(best) = batch_runs.iter().map(|b| b.eps).fold(None, f64_max) {
-            println!("  batch vs scalar (best in-run): {:.2}x", best / scalar_eps);
-        }
+    if let Some(best) = batch_runs.iter().map(|b| b.eps).fold(None, f64_max) {
+        println!(
+            "  batch vs process (best in-run): {:.2}x",
+            best / headline.eps
+        );
     }
     println!("  vs. pre-lowering baseline {PRE_PR_BASELINE_EPS:.0} ev/s: {speedup:.2}x");
 
-    write_json(stream.len(), rules, &runs, speedup, &batch_runs, scalar_eps);
+    write_json(stream.len(), rules, &headline, speedup, &batch_runs);
 }
 
 fn f64_max(acc: Option<f64>, v: f64) -> Option<f64> {
     Some(acc.map_or(v, |a| a.max(v)))
 }
 
-/// The headline (plan-mode) `events_per_sec` is written first so
-/// `bench_gate.sh`'s first-match parse reads it; the per-mode ablation
-/// rows follow (see `rfid_bench::report` for the shared stamp/builder).
+/// The headline `events_per_sec` is written first so `bench_gate.sh`'s
+/// first-match parse reads it; the batch ablation rows follow (see
+/// `rfid_bench::report` for the shared stamp/builder).
 fn write_json(
     events: usize,
     rules: usize,
-    runs: &[ModeRun],
+    headline: &Headline,
     speedup: f64,
     batch_runs: &[BatchRun],
-    scalar_eps: Option<f64>,
 ) {
-    let headline = &runs[0];
     let reps = headline.passes.len();
-    let modes: Vec<&str> = runs.iter().map(|r| mode_name(r.mode)).collect();
-    let config = format!("events={events} reps={reps} modes={}", modes.join(","));
+    let config = format!("events={events} reps={reps}");
     let mut json = JsonBuf::begin("fig9_hotpath", &config);
     json.u64_field("events", events as u64);
     json.u64_field("rules", rules as u64);
     json.u64_field("firings", headline.firings);
-    json.str_field("mode", mode_name(headline.mode));
     json.f64_field("best_ms", headline.best_ms, 3);
     json.f64_field("median_ms", headline.median_ms, 3);
     json.f64_field("events_per_sec", headline.eps, 1);
     json.f64_field("pre_pr_baseline_eps", PRE_PR_BASELINE_EPS, 1);
     json.f64_field("speedup_vs_baseline", speedup, 3);
-    json.begin_arr("modes");
-    for run in runs {
-        json.begin_obj(None);
-        json.str_field("mode", mode_name(run.mode));
-        json.begin_arr("passes_ms");
-        for ms in &run.passes {
-            json.elem(&format!("{ms:.3}"));
-        }
-        json.end_arr();
-        json.f64_field("best_ms", run.best_ms, 3);
-        json.f64_field("median_ms", run.median_ms, 3);
-        json.f64_field("events_per_sec", run.eps, 1);
-        json.end_obj();
+    json.begin_arr("passes_ms");
+    for ms in &headline.passes {
+        json.elem(&format!("{ms:.3}"));
     }
     json.end_arr();
-    // Batch ablation rows: the vectorized path at each chunk size, with
-    // the in-run speedup against the scalar plan row above.
+    // Batch ablation rows: each chunk size, with the in-run speedup
+    // against the per-observation row above.
     // `bench_gate.sh`'s batch section reads `batch_best_speedup_vs_scalar`.
-    if let Some(scalar_eps) = scalar_eps.filter(|_| !batch_runs.is_empty()) {
+    if !batch_runs.is_empty() {
         let best = batch_runs
             .iter()
             .map(|b| b.eps)
             .fold(f64::NEG_INFINITY, f64::max);
-        json.f64_field("batch_scalar_eps", scalar_eps, 1);
-        json.f64_field("batch_best_speedup_vs_scalar", best / scalar_eps, 3);
+        json.f64_field("batch_scalar_eps", headline.eps, 1);
+        json.f64_field("batch_best_speedup_vs_scalar", best / headline.eps, 3);
         json.begin_arr("batch");
         for b in batch_runs {
             json.begin_obj(None);
@@ -303,7 +246,7 @@ fn write_json(
             json.end_arr();
             json.f64_field("best_ms", b.best_ms, 3);
             json.f64_field("events_per_sec", b.eps, 1);
-            json.f64_field("speedup_vs_scalar", b.eps / scalar_eps, 3);
+            json.f64_field("speedup_vs_scalar", b.eps / headline.eps, 3);
             json.end_obj();
         }
         json.end_arr();

@@ -50,41 +50,24 @@ use crate::stats::EngineStats;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RuleId(pub u32);
 
-/// Which executor drives detection.
-///
-/// Both execute the *same* arrival handlers over the same runtime state —
-/// the difference is purely how an occurrence finds its rules, parents, and
-/// leaf candidates. The walker is retained as the differential-testing
-/// oracle and the `fig9_hotpath --graph` ablation baseline; [`ExecMode::Plan`]
-/// is the default and the one the throughput gate measures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecMode {
-    /// Execute the lowered [`CompiledPlan`]: flat arenas, per-reader
-    /// dispatch rows, precomputed delivery edges.
-    #[default]
-    Plan,
-    /// Walk the [`EventGraph`] directly: hash-map dispatch and rule lookup,
-    /// per-delivery side derivation.
-    Graph,
-}
-
 /// Engine tuning knobs.
+// The four flags are independent ablation switches, not a state machine.
+#[allow(clippy::struct_excessive_bools)]
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Per-key buffer cap for join sides with an *unbounded* window (plain
     /// `SEQ` without `WITHIN`). Bounded windows prune by time instead.
     pub unbounded_cap: usize,
-    /// Run a global buffer sweep every this many observations.
-    pub sweep_every: u64,
+    /// Prune expired buffer state at batch boundaries (the deadline sweep,
+    /// DESIGN.md §16). Firing-neutral; off keeps every admitted entry until
+    /// matching discards it, which exact prune-count checks rely on.
+    pub sweep: bool,
     /// Merge common subgraphs across rules (ablation A1 turns this off).
     pub merge_subgraphs: bool,
     /// Partition join buffers by correlation key (ablation A2 turns this
     /// off: everything lands in one FIFO and key equality is checked during
     /// the scan instead).
     pub partition_buffers: bool,
-    /// Executor selection: compiled plan (default) or the graph-walker
-    /// oracle.
-    pub exec: ExecMode,
     /// Evict buffered state against the solved per-node retention bounds
     /// from the interval-constraint pass ([`crate::bounds`]) instead of the
     /// conservative `max_lag`-padded horizons. Provably firing-preserving;
@@ -107,10 +90,9 @@ impl Default for EngineConfig {
     fn default() -> Self {
         Self {
             unbounded_cap: 1024,
-            sweep_every: 4096,
+            sweep: true,
             merge_subgraphs: true,
             partition_buffers: true,
-            exec: ExecMode::Plan,
             enforce_bounds: true,
             observe: ObserveLevel::Off,
             flight_capacity: 64,
@@ -139,13 +121,11 @@ pub struct Engine {
     rule_roots: Vec<NodeId>,
     rule_enabled: Vec<bool>,
     rule_firings: Vec<u64>,
-    dispatch: Dispatch,
-    /// The lowered execution plan; rebuilt together with `dispatch` when
-    /// the rule set changes.
+    /// The lowered execution plan; rebuilt when the rule set changes.
     plan: CompiledPlan,
     /// Solved retention bounds, refreshed with the plan on recompile.
     bounds: Bounds,
-    dispatch_dirty: bool,
+    plan_dirty: bool,
     config: EngineConfig,
 }
 
@@ -160,10 +140,8 @@ struct Runtime {
     clock: Timestamp,
     seq: u64,
     stats: EngineStats,
-    /// Reused candidate buffer for leaf dispatch.
-    scratch: Vec<NodeId>,
     /// Reused propagation queue: occurrences waiting to activate parents.
-    /// Fully drained by `run_work` before `process` returns, so its capacity
+    /// Fully drained by `run_work` before a batch returns, so its capacity
     /// (not its contents) carries over between events.
     work: Vec<(NodeId, Arc<Instance>)>,
     /// Observability state ([`crate::obs`]): the cached observe level, the
@@ -172,18 +150,18 @@ struct Runtime {
     /// extra parameters through the arrival handlers.
     obs: ObsState,
     /// Watermark-amortized sweeping (DESIGN.md §16): per-node effective
-    /// retention spans, the next-expiry deadline heap, and the per-batch
-    /// touched bitmap the batch path arms deadlines from.
+    /// retention spans, the next-expiry deadline heap, and the nodes to arm
+    /// at the next batch boundary.
     sweep: SweepQueue,
 }
 
-/// State of the deadline-driven sweep the batch path uses instead of the
-/// scalar fixed-cadence sweep. A node is *armed* when its earliest logged
-/// entry has a finite death time sitting in the heap; quiescent nodes are
-/// neither armed nor visited. Arming happens at batch boundaries from the
-/// `touched` bitmap (set at every state admission), and a deadline fires
+/// State of the deadline-driven sweep. A node is *armed* when its earliest
+/// logged entry has a finite death time sitting in the heap; quiescent
+/// nodes are neither armed nor visited. Unarmed nodes that admit state
+/// are queued for arming at the next batch boundary, and a deadline fires
 /// only when the batch watermark — the engine clock after the batch —
-/// passes it.
+/// passes it. Boundary work is O(nodes queued + deadlines due), so a
+/// one-observation batch ([`Engine::process`]) pays almost nothing.
 #[derive(Debug, Default)]
 struct SweepQueue {
     /// Per-node `[side0, side1]` effective sweep spans (solved retention
@@ -195,8 +173,10 @@ struct SweepQueue {
     heap: BinaryHeap<Reverse<(Timestamp, u32)>>,
     /// Whether the node currently has a deadline in the heap.
     armed: Vec<bool>,
-    /// Bitmap of nodes that admitted state since the last batch boundary.
-    touched: Vec<u64>,
+    /// Unarmed nodes that admitted state since the last batch boundary,
+    /// each listed once (`queued` is the membership bitmap).
+    touched: Vec<u32>,
+    queued: Vec<u64>,
     /// Scratch for the nodes drained as due in one batch sweep. Draining
     /// before pruning guarantees each due node is visited exactly once per
     /// batch even when its re-armed deadline lands at the watermark again.
@@ -204,51 +184,33 @@ struct SweepQueue {
 }
 
 impl SweepQueue {
-    /// Marks a node as having admitted state this batch. Called from the
-    /// arrival handlers on every admission (scalar path included, so mixed
-    /// scalar/batch usage arms deadlines correctly); two instructions.
+    /// Notes that a node admitted state. An armed node needs nothing: its
+    /// deadline is no later than the new entry's, and a due prune re-arms
+    /// from the current logs.
     #[inline]
     fn touch(&mut self, node: NodeId) {
         let i = node.idx();
-        self.touched[i >> 6] |= 1 << (i & 63);
+        let bit = 1u64 << (i & 63);
+        if !self.armed[i] && self.queued[i >> 6] & bit == 0 {
+            self.queued[i >> 6] |= bit;
+            self.touched.push(node.0);
+        }
     }
 
     /// Sizes the tables for `len` nodes, keeping existing armed state.
     fn resize(&mut self, len: usize) {
         self.spans.resize(len, [Span::MAX; 2]);
         self.armed.resize(len, false);
-        self.touched.resize(len.div_ceil(64), 0);
+        self.queued.resize(len.div_ceil(64), 0);
     }
 
-    /// Drops all armed deadlines and touched bits (engine reset).
+    /// Drops all armed deadlines and queued nodes (engine reset).
     fn clear_runtime(&mut self) {
         self.heap.clear();
         self.armed.iter_mut().for_each(|a| *a = false);
-        self.touched.iter_mut().for_each(|w| *w = 0);
+        self.queued.iter_mut().for_each(|w| *w = 0);
+        self.touched.clear();
         self.due.clear();
-    }
-}
-
-/// Leaf dispatch index: maps an observation to candidate primitive nodes
-/// without scanning every leaf.
-#[derive(Debug, Default)]
-struct Dispatch {
-    by_reader: HashMap<rfid_epc::ReaderId, Vec<NodeId>>,
-    by_group: HashMap<String, Vec<NodeId>>,
-    any: Vec<NodeId>,
-}
-
-impl Dispatch {
-    fn candidates(&self, catalog: &Catalog, obs: &Observation, out: &mut Vec<NodeId>) {
-        if let Some(v) = self.by_reader.get(&obs.reader) {
-            out.extend_from_slice(v);
-        }
-        if let Some(group) = catalog.readers.group_of(obs.reader) {
-            if let Some(v) = self.by_group.get(group) {
-                out.extend_from_slice(v);
-            }
-        }
-        out.extend_from_slice(&self.any);
     }
 }
 
@@ -271,7 +233,6 @@ impl Engine {
                 clock: Timestamp::ZERO,
                 seq: 0,
                 stats: EngineStats::default(),
-                scratch: Vec::new(),
                 work: Vec::new(),
                 obs: ObsState::new(config.observe, config.flight_capacity, config.flight_sample),
                 sweep: SweepQueue::default(),
@@ -281,10 +242,9 @@ impl Engine {
             rule_roots: Vec::new(),
             rule_enabled: Vec::new(),
             rule_firings: Vec::new(),
-            dispatch: Dispatch::default(),
             plan: CompiledPlan::default(),
             bounds: Bounds::default(),
-            dispatch_dirty: true,
+            plan_dirty: true,
             config,
         }
     }
@@ -321,7 +281,7 @@ impl Engine {
         self.rule_firings.push(0);
         self.rules_at.entry(root).or_default().push(rule);
         self.sync_states();
-        self.dispatch_dirty = true;
+        self.plan_dirty = true;
         Ok(rule)
     }
 
@@ -340,110 +300,41 @@ impl Engine {
         }
     }
 
-    /// Feeds one observation. Observations must arrive in non-decreasing
-    /// timestamp order (the middleware's stream order); due pseudo events
-    /// are executed first.
+    /// Feeds one observation: a one-element [`Engine::process_batch`].
+    /// Observations should arrive in non-decreasing timestamp order (the
+    /// middleware's stream order); one that does not is still processed,
+    /// at the engine clock, and counted in `EngineStats::late_events`.
+    #[inline]
     pub fn process(&mut self, obs: Observation, sink: &mut Sink<'_>) {
-        debug_assert!(obs.at >= self.rt.clock, "observations must be time-ordered");
-        if self.dispatch_dirty {
-            self.recompile();
-        }
-        let obs_t0 = if self.rt.obs.level.full() {
-            Some(std::time::Instant::now())
-        } else {
-            None
-        };
-        while let Some(ev) = self.rt.pseudo.pop_due(obs.at) {
-            self.fire_pseudo(ev, sink);
-        }
-        self.rt.clock = self.rt.clock.max(obs.at);
-        self.rt.stats.events += 1;
-
-        match self.config.exec {
-            ExecMode::Plan => {
-                // One direct index into the reader's dispatch row; matched
-                // leaves collect in an inline fixed-capacity queue, so the
-                // common miss/single-hit cases never allocate.
-                let mut hits: InlineBuf<NodeId, LEAF_HITS_INLINE> = InlineBuf::default();
-                self.plan.leaf_hits(&self.catalog, &obs, &mut hits);
-                if !hits.is_empty() {
-                    self.rt.stats.matched_events += 1;
-                    let inst = Arc::new(Instance::observation(obs));
-                    self.rt
-                        .work
-                        .extend(hits.iter().map(|&leaf| (leaf, inst.clone())));
-                    self.run_work_plan(sink);
-                }
-            }
-            ExecMode::Graph => {
-                self.rt.scratch.clear();
-                self.dispatch
-                    .candidates(&self.catalog, &obs, &mut self.rt.scratch);
-                let (graph, catalog) = (&self.graph, &self.catalog);
-                self.rt
-                    .scratch
-                    .retain(|&leaf| match &graph.node(leaf).kind {
-                        NodeKind::Primitive(p) => p.matches(&obs, catalog),
-                        _ => false,
-                    });
-                if !self.rt.scratch.is_empty() {
-                    self.rt.stats.matched_events += 1;
-                    let inst = Arc::new(Instance::observation(obs));
-                    let Runtime { scratch, work, .. } = &mut self.rt;
-                    work.extend(scratch.iter().map(|&leaf| (leaf, inst.clone())));
-                    self.run_work_graph(sink);
-                }
-            }
-        }
-
-        if self.rt.stats.events.is_multiple_of(self.config.sweep_every) {
-            self.sweep();
-        }
-        if let Some(t0) = obs_t0 {
-            let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            self.rt.obs.latency_ns.record(ns);
-        }
+        self.process_batch(std::slice::from_ref(&obs), sink);
     }
 
-    /// Feeds a contiguous batch of observations through the vectorized
-    /// path (DESIGN.md §16). Semantically identical to calling
-    /// [`Engine::process`] per element — same firings, in the same order —
-    /// but the per-event overheads are amortized over the batch:
+    /// Feeds a contiguous batch of observations (DESIGN.md §16): the same
+    /// firings, in the same order, as feeding them one at a time, with the
+    /// per-event overheads amortized over the batch:
     ///
-    /// * the `dispatch_dirty` recompile check runs once, not per event;
+    /// * the recompile check runs once, not per event;
     /// * leaf dispatch resolves the compiled reader row once per
     ///   contiguous same-reader run of the batch;
     /// * the pseudo-event queue is peeked only when the cached earliest
     ///   execution time says something can actually be due;
-    /// * the fixed-cadence buffer sweep is replaced by next-expiry
-    ///   deadlines ([`SweepQueue`]) checked once at the batch boundary, so
-    ///   quiescent nodes are never visited.
+    /// * buffer sweeping runs once, at the batch boundary, against
+    ///   next-expiry deadlines ([`SweepQueue`]), so quiescent nodes are
+    ///   never visited.
     ///
-    /// Sweep *timing* therefore differs from the scalar path (counted in
+    /// Sweep *timing* depends on the chunking (counted in
     /// `sweeps`/`sweeps_skipped` and the per-node prune counters), which is
     /// firing-neutral: matching discards dead entries at probe time and
     /// history queries are range-checked, so later pruning never changes
-    /// what fires. `sweep_every == u64::MAX` disables deadline sweeping
-    /// here exactly as it disables the scalar cadence sweep.
+    /// what fires.
     pub fn process_batch(&mut self, batch: &[Observation], sink: &mut Sink<'_>) {
         if batch.is_empty() {
             return;
         }
-        if self.dispatch_dirty {
+        if self.plan_dirty {
             self.recompile();
         }
         self.rt.stats.batches_processed += 1;
-        match self.config.exec {
-            ExecMode::Plan => self.process_batch_plan(batch, sink),
-            ExecMode::Graph => self.process_batch_graph(batch, sink),
-        }
-        self.batch_sweep();
-    }
-
-    /// The plan-mode batch loop: outer iteration over contiguous
-    /// same-reader runs (dispatch row resolved once per run), inner scalar
-    /// semantics per observation.
-    fn process_batch_plan(&mut self, batch: &[Observation], sink: &mut Sink<'_>) {
         let full = self.rt.obs.level.full();
         // Cached earliest pending pseudo execution time; refreshed after
         // anything that can schedule or consume pseudo events, so the
@@ -458,9 +349,10 @@ impl Engine {
             while j < batch.len() && batch[j].reader == reader {
                 let obs = batch[j];
                 j += 1;
-                debug_assert!(!self.dispatch_dirty, "rule set changed mid-batch");
-                debug_assert!(obs.at >= self.rt.clock, "observations must be time-ordered");
                 let obs_t0 = full.then(std::time::Instant::now);
+                if obs.at < self.rt.clock {
+                    self.rt.stats.late_events += 1;
+                }
                 if next_pseudo.is_some_and(|t| t < obs.at) {
                     while let Some(ev) = self.rt.pseudo.pop_due(obs.at) {
                         self.fire_pseudo(ev, sink);
@@ -470,6 +362,9 @@ impl Engine {
                 self.rt.clock = self.rt.clock.max(obs.at);
                 self.rt.stats.events += 1;
                 if can_match {
+                    // Matched leaves collect in an inline fixed-capacity
+                    // queue, so the common miss/single-hit cases never
+                    // allocate.
                     let mut hits: InlineBuf<NodeId, LEAF_HITS_INLINE> = InlineBuf::default();
                     self.plan
                         .leaf_hits_in_row(&self.catalog, &obs, row, &mut hits);
@@ -479,8 +374,11 @@ impl Engine {
                         self.rt
                             .work
                             .extend(hits.iter().map(|&leaf| (leaf, inst.clone())));
-                        self.run_work_plan(sink);
-                        next_pseudo = self.rt.pseudo.next_exec();
+                        let scheduled = self.rt.pseudo.scheduled;
+                        self.run_work(sink);
+                        if self.rt.pseudo.scheduled != scheduled {
+                            next_pseudo = self.rt.pseudo.next_exec();
+                        }
                     }
                 }
                 if let Some(t0) = obs_t0 {
@@ -490,62 +388,7 @@ impl Engine {
             }
             i = j;
         }
-    }
-
-    /// The graph-mode batch loop (differential oracle under batching): the
-    /// walker's candidate list is resolved once per contiguous same-reader
-    /// run — it depends only on the reader — and re-filtered per
-    /// observation, with the same cached-pseudo and boundary-sweep
-    /// amortizations as the plan loop.
-    fn process_batch_graph(&mut self, batch: &[Observation], sink: &mut Sink<'_>) {
-        let full = self.rt.obs.level.full();
-        let mut next_pseudo = self.rt.pseudo.next_exec();
-        let mut base: Vec<NodeId> = Vec::new();
-        let mut i = 0;
-        while i < batch.len() {
-            let reader = batch[i].reader;
-            base.clear();
-            self.dispatch
-                .candidates(&self.catalog, &batch[i], &mut base);
-            let mut j = i;
-            while j < batch.len() && batch[j].reader == reader {
-                let obs = batch[j];
-                j += 1;
-                debug_assert!(!self.dispatch_dirty, "rule set changed mid-batch");
-                debug_assert!(obs.at >= self.rt.clock, "observations must be time-ordered");
-                let obs_t0 = full.then(std::time::Instant::now);
-                if next_pseudo.is_some_and(|t| t < obs.at) {
-                    while let Some(ev) = self.rt.pseudo.pop_due(obs.at) {
-                        self.fire_pseudo(ev, sink);
-                    }
-                    next_pseudo = self.rt.pseudo.next_exec();
-                }
-                self.rt.clock = self.rt.clock.max(obs.at);
-                self.rt.stats.events += 1;
-                self.rt.scratch.clear();
-                self.rt.scratch.extend_from_slice(&base);
-                let (graph, catalog) = (&self.graph, &self.catalog);
-                self.rt
-                    .scratch
-                    .retain(|&leaf| match &graph.node(leaf).kind {
-                        NodeKind::Primitive(p) => p.matches(&obs, catalog),
-                        _ => false,
-                    });
-                if !self.rt.scratch.is_empty() {
-                    self.rt.stats.matched_events += 1;
-                    let inst = Arc::new(Instance::observation(obs));
-                    let Runtime { scratch, work, .. } = &mut self.rt;
-                    work.extend(scratch.iter().map(|&leaf| (leaf, inst.clone())));
-                    self.run_work_graph(sink);
-                    next_pseudo = self.rt.pseudo.next_exec();
-                }
-                if let Some(t0) = obs_t0 {
-                    let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                    self.rt.obs.latency_ns.record(ns);
-                }
-            }
-            i = j;
-        }
+        self.batch_sweep();
     }
 
     /// Feeds a whole stream, then drains remaining pseudo events so windows
@@ -571,7 +414,7 @@ impl Engine {
     /// Drains every pending pseudo event (end of stream): negation windows
     /// and open `TSEQ+` runs resolve as if time advanced past them.
     pub fn finish(&mut self, sink: &mut Sink<'_>) {
-        if self.dispatch_dirty {
+        if self.plan_dirty {
             self.recompile();
         }
         while let Some(ev) = self.rt.pseudo.pop_any() {
@@ -583,7 +426,7 @@ impl Engine {
     /// Advances the clock to `now`, executing due pseudo events, without
     /// feeding an observation (heartbeat for quiet streams).
     pub fn advance_to(&mut self, now: Timestamp, sink: &mut Sink<'_>) {
-        if self.dispatch_dirty {
+        if self.plan_dirty {
             self.recompile();
         }
         while let Some(ev) = self.rt.pseudo.pop_due(now) {
@@ -627,7 +470,7 @@ impl Engine {
     /// The lowered execution plan, recompiling first if the rule set
     /// changed since the last compile (inspection, explain, tests).
     pub fn compiled_plan(&mut self) -> &CompiledPlan {
-        if self.dispatch_dirty {
+        if self.plan_dirty {
             self.recompile();
         }
         &self.plan
@@ -636,7 +479,7 @@ impl Engine {
     /// The solved retention bounds ([`crate::bounds`]), recompiling first
     /// if the rule set changed since the last compile.
     pub fn bounds(&mut self) -> &Bounds {
-        if self.dispatch_dirty {
+        if self.plan_dirty {
             self.recompile();
         }
         &self.bounds
@@ -646,7 +489,7 @@ impl Engine {
     /// set, recompiling first if it changed. Computed on demand — the
     /// model is a compile-time artifact, not hot-path state.
     pub fn cost(&mut self) -> Cost {
-        if self.dispatch_dirty {
+        if self.plan_dirty {
             self.recompile();
         }
         Cost::solve(&self.graph, &self.bounds, Some(&self.catalog))
@@ -741,7 +584,7 @@ impl Engine {
     /// histogram is filled by the sharded pipeline
     /// ([`crate::shard::ShardedEngine::telemetry`]); empty here.
     pub fn telemetry(&mut self) -> TelemetrySnapshot {
-        if self.dispatch_dirty {
+        if self.plan_dirty {
             self.recompile();
         }
         self.rt
@@ -774,14 +617,14 @@ impl Engine {
         self.rt.clock
     }
 
-    /// Rebuilds the walker's dispatch index *and* lowers the graph into the
-    /// compiled plan. Runs once per rule-set change, never per event.
+    /// Lowers the graph into the compiled plan. Runs once per rule-set
+    /// change, never per event.
     fn recompile(&mut self) {
-        self.rebuild_dispatch();
+        self.plan_dirty = false;
         self.bounds = Bounds::solve(&self.graph);
         self.plan =
             CompiledPlan::lower_with(&self.graph, &self.catalog, &self.rules_at, &self.bounds);
-        // Size the metrics arena for every node either executor can touch.
+        // Size the metrics arena for every node the plan can touch.
         self.rt
             .obs
             .arena
@@ -789,11 +632,10 @@ impl Engine {
         self.rebuild_sweep_spans();
     }
 
-    /// Exports the per-node effective sweep spans the deadline heap and
-    /// both sweep flavours prune against: the solved per-side retention
-    /// bounds when enforcement is on, else the conservative horizon plus
-    /// the graph-wide `max_lag` pad — exactly the horizons the cadence
-    /// sweep used to recompute per pass.
+    /// Exports the per-node effective sweep spans the deadline sweep
+    /// prunes against: the solved per-side retention bounds when
+    /// enforcement is on, else the conservative horizon plus the
+    /// graph-wide `max_lag` pad.
     fn rebuild_sweep_spans(&mut self) {
         let enforce = self.config.enforce_bounds && self.bounds.len() == self.graph.len();
         let lag = self.graph.max_lag();
@@ -818,32 +660,6 @@ impl Engine {
                 _ => [Span::MAX; 2],
             };
         }
-    }
-
-    fn rebuild_dispatch(&mut self) {
-        self.dispatch = Dispatch::default();
-        for &leaf in self.graph.primitives() {
-            let NodeKind::Primitive(p) = &self.graph.node(leaf).kind else {
-                continue;
-            };
-            match &p.reader {
-                rfid_events::ReaderSel::Named(name) => {
-                    // A name missing from the catalog can never match.
-                    if let Some(id) = self.catalog.reader(name) {
-                        self.dispatch.by_reader.entry(id).or_default().push(leaf);
-                    }
-                }
-                rfid_events::ReaderSel::Group(g) => {
-                    self.dispatch
-                        .by_group
-                        .entry(g.to_string())
-                        .or_default()
-                        .push(leaf);
-                }
-                rfid_events::ReaderSel::Any => self.dispatch.any.push(leaf),
-            }
-        }
-        self.dispatch_dirty = false;
     }
 
     fn fire_pseudo(&mut self, ev: PseudoEvent, sink: &mut Sink<'_>) {
@@ -916,7 +732,7 @@ impl Engine {
                     other => unreachable!("negation child has state {other:?}"),
                 };
                 if !occurred {
-                    let absence = Arc::new(Instance::absence(entry.from, entry.to));
+                    let absence = Arc::new(Instance::absence(entry.from.min(entry.to), entry.to));
                     let children = if not_side == 0 {
                         vec![absence, entry.inst]
                     } else {
@@ -930,21 +746,12 @@ impl Engine {
         }
     }
 
-    /// The ACTIVATE_PARENT_NODE loop, dispatched to the configured
-    /// executor. Both executors drain the same queue through the same
-    /// arrival handlers; they differ only in how an occurrence finds its
-    /// rules and parent deliveries.
+    /// The ACTIVATE_PARENT_NODE loop over the compiled plan: drains
+    /// `rt.work`, firing each occurrence's rules (a range scan over the
+    /// flat rule arena) and delivering it along precomputed [`EdgeOp`]
+    /// edges. Arrival handlers push further occurrences onto the same
+    /// queue.
     fn run_work(&mut self, sink: &mut Sink<'_>) {
-        match self.config.exec {
-            ExecMode::Plan => self.run_work_plan(sink),
-            ExecMode::Graph => self.run_work_graph(sink),
-        }
-    }
-
-    /// `run_work` over the compiled plan: rule fan-out is a range scan
-    /// over the flat rule arena and parent activation follows precomputed
-    /// [`EdgeOp`] edges — no hash probes, no per-delivery side derivation.
-    fn run_work_plan(&mut self, sink: &mut Sink<'_>) {
         let Self {
             graph,
             rt,
@@ -958,7 +765,7 @@ impl Engine {
         let observe = rt.obs.level;
         while let Some((node_id, inst)) = rt.work.pop() {
             // A coalesced leaf representative stands in for its whole
-            // pattern group; count the pops the walker would have made.
+            // pattern group; count one pop per member leaf.
             rt.stats.occurrences += 1 + u64::from(plan.extra_pops(node_id));
             if observe.counters() {
                 rt.obs.arena.arrived(node_id.idx());
@@ -994,93 +801,8 @@ impl Engine {
         }
     }
 
-    /// `run_work` over the event graph (the differential-testing oracle):
-    /// drains `rt.work`, propagating each occurrence to the node's rules
-    /// and parents. Arrival handlers push further occurrences onto the
-    /// same queue.
-    fn run_work_graph(&mut self, sink: &mut Sink<'_>) {
-        let Self {
-            graph,
-            rt,
-            rules_at,
-            bounds,
-            rule_enabled,
-            rule_firings,
-            config,
-            ..
-        } = self;
-        let observe = rt.obs.level;
-        while let Some((node_id, inst)) = rt.work.pop() {
-            rt.stats.occurrences += 1;
-            if observe.counters() {
-                rt.obs.arena.arrived(node_id.idx());
-            }
-            if let Some(rules) = rules_at.get(&node_id) {
-                for &rule in rules {
-                    if !rule_enabled[rule.0 as usize] {
-                        continue;
-                    }
-                    rt.stats.rule_firings += 1;
-                    rule_firings[rule.0 as usize] += 1;
-                    sink(rule, &inst);
-                    if observe.counters() {
-                        rt.obs.arena.fired(node_id.idx());
-                        if observe.full() {
-                            rt.obs.flight.offer(rule, rt.clock, &inst);
-                        }
-                    }
-                }
-            }
-            for &parent in &graph.node(node_id).parents {
-                let pnode = graph.node(parent);
-                let children = &pnode.children;
-                let is_left = children[0] == node_id;
-                let is_right = children.len() > 1 && children[1] == node_id;
-                if is_left && is_right {
-                    // Self-join (e.g. Rule 1's duplicate filter): match as the
-                    // terminator against strictly older initiators, then
-                    // buffer as an initiator for future arrivals.
-                    rt.self_join_arrival(graph, config, bounds, pnode, &inst);
-                } else if pnode.symmetric {
-                    // Structurally identical children that did not merge
-                    // (ablation A1): both deliver equivalent instances, so
-                    // run the self-join protocol once, on the terminator
-                    // side, and drop the initiator-side duplicate delivery.
-                    if is_right {
-                        rt.self_join_arrival(graph, config, bounds, pnode, &inst);
-                    }
-                } else {
-                    if is_left {
-                        rt.arrival(graph, config, bounds, pnode, 0, &inst);
-                    }
-                    if is_right {
-                        rt.arrival(graph, config, bounds, pnode, 1, &inst);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Global buffer sweep (scalar cadence path): prune joins, histories,
-    /// and element stores. With bounds enforcement on, each store is pruned
-    /// against its solved per-node (and, for joins, per-side) retention
-    /// from [`crate::bounds`] — no graph-wide lag pad; otherwise the
-    /// conservative horizon + `max_lag` pruning applies. Both horizons are
-    /// precomputed into [`SweepQueue::spans`] at recompile.
-    fn sweep(&mut self) {
-        self.rt.stats.sweeps += 1;
-        debug_assert_eq!(
-            self.rt.sweep.spans.len(),
-            self.rt.states.len(),
-            "recompile sized the sweep spans"
-        );
-        for idx in 0..self.rt.states.len() {
-            self.prune_node(idx);
-        }
-    }
-
     /// Prunes one node's stores against its effective sweep spans — the
-    /// unit of work shared by the cadence sweep and the deadline sweep.
+    /// unit of work of the deadline sweep.
     fn prune_node(&mut self, idx: usize) {
         let clock = self.rt.clock;
         let [s0, s1] = self.rt.sweep.spans[idx];
@@ -1141,71 +863,99 @@ impl Engine {
         }
     }
 
-    /// Batch-boundary sweep: arm a deadline for every node that admitted
-    /// state this batch, then prune exactly the nodes whose deadline the
-    /// batch watermark passed. A batch that crosses no deadline prunes
-    /// nothing and touches no node state at all (`sweeps_skipped`).
+    /// Batch-boundary sweep: arm a deadline for every queued node, then
+    /// prune exactly the nodes whose deadline the batch watermark passed.
+    /// A batch that crosses no deadline prunes nothing and touches no node
+    /// state at all (`sweeps_skipped`).
+    #[inline]
     fn batch_sweep(&mut self) {
-        // `sweep_every == u64::MAX` is the documented sweep-disable
-        // switch; the deadline sweep honors it like the cadence sweep.
-        if self.config.sweep_every == u64::MAX {
+        if !self.rt.sweep.touched.is_empty() {
+            self.arm_touched();
+        }
+        if !self.config.sweep {
             return;
         }
+        // Strictly before: at `d == watermark` nothing is dead yet
+        // (`dead_before` is exclusive), so the deadline keeps waiting.
         let watermark = self.rt.clock;
-        for w in 0..self.rt.sweep.touched.len() {
-            let mut bits = std::mem::take(&mut self.rt.sweep.touched[w]);
-            while bits != 0 {
-                #[allow(clippy::cast_possible_truncation)]
-                let idx = w * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                if self.rt.sweep.armed[idx] {
-                    continue;
+        if self
+            .rt
+            .sweep
+            .heap
+            .peek()
+            .is_some_and(|&Reverse((d, _))| d < watermark)
+        {
+            self.prune_due(watermark);
+        } else {
+            self.rt.stats.sweeps_skipped += 1;
+        }
+    }
+
+    /// Arms a deadline for every node queued since the last boundary.
+    fn arm_touched(&mut self) {
+        let mut touched = std::mem::take(&mut self.rt.sweep.touched);
+        for &n in &touched {
+            let idx = n as usize;
+            self.rt.sweep.queued[idx >> 6] &= !(1u64 << (idx & 63));
+            if !self.config.sweep {
+                continue;
+            }
+            match self.node_deadline(idx) {
+                Some(d) => {
+                    self.rt.sweep.armed[idx] = true;
+                    self.rt.sweep.heap.push(Reverse((d, n)));
                 }
-                match self.node_deadline(idx) {
-                    Some(d) => {
-                        self.rt.sweep.armed[idx] = true;
-                        self.rt.sweep.heap.push(Reverse((d, idx as u32)));
-                    }
-                    None => {
-                        // No finite deadline, but an unbounded-horizon join
-                        // still relies on the sweep for expiry-log
-                        // compaction (consumed entries leave stale records
-                        // a time-based prune never reaches). The prune
-                        // itself drops nothing here.
-                        if matches!(self.rt.states[idx], NodeState::Join { .. }) {
-                            self.prune_node(idx);
-                        }
+                None => {
+                    // No finite deadline, but an unbounded-horizon join
+                    // still relies on the sweep for expiry-log compaction
+                    // (consumed entries leave stale records a time-based
+                    // prune never reaches). The prune itself drops nothing
+                    // here.
+                    if matches!(self.rt.states[idx], NodeState::Join { .. }) {
+                        self.prune_node(idx);
                     }
                 }
             }
         }
+        touched.clear();
+        self.rt.sweep.touched = touched;
+    }
+
+    /// Prunes every node whose deadline is before `watermark` and re-arms
+    /// it.
+    fn prune_due(&mut self, watermark: Timestamp) {
+        self.rt.stats.sweeps += 1;
         // Collect everything due before pruning: pruning re-arms nodes,
         // and a re-armed deadline can land at the watermark again (equal
         // timestamps); draining first visits each node once per batch.
         let mut due = std::mem::take(&mut self.rt.sweep.due);
         while let Some(&Reverse((d, idx))) = self.rt.sweep.heap.peek() {
-            // Strictly before: at `d == watermark` nothing is dead yet
-            // (`dead_before` is exclusive), so the deadline keeps waiting.
             if d >= watermark {
                 break;
             }
             self.rt.sweep.heap.pop();
             due.push(idx);
         }
-        if due.is_empty() {
-            self.rt.stats.sweeps_skipped += 1;
-        } else {
-            self.rt.stats.sweeps += 1;
-            for &n in &due {
-                let idx = n as usize;
-                self.prune_node(idx);
-                match self.node_deadline(idx) {
-                    Some(d) => self.rt.sweep.heap.push(Reverse((d, n))),
-                    None => self.rt.sweep.armed[idx] = false,
+        for &n in &due {
+            let idx = n as usize;
+            self.prune_node(idx);
+            match self.node_deadline(idx) {
+                // Re-arm no sooner than a quarter of the node's shortest
+                // span from now, so a node is pruned at most once per such
+                // grain of stream time: one-observation batches then do not
+                // pay a prune and a heap round trip per expiring record.
+                // Entries outlive their death by at most the grain, and
+                // pruning late is firing-neutral.
+                Some(d) => {
+                    let [s0, s1] = self.rt.sweep.spans[idx];
+                    let grain = Span::from_millis(s0.min(s1).as_millis() / 4);
+                    let d = d.max(watermark.saturating_add(grain));
+                    self.rt.sweep.heap.push(Reverse((d, n)));
                 }
+                None => self.rt.sweep.armed[idx] = false,
             }
-            due.clear();
         }
+        due.clear();
         self.rt.sweep.due = due;
     }
 }
@@ -1288,13 +1038,10 @@ impl Runtime {
 
     /// Fused in-field delivery: record the instance into `not_node`'s
     /// negation history and answer `query_node`'s window probe out of one
-    /// bucket access. The order mirrors the walker's for each lowered
-    /// shape. `record_first` ([`EdgeOp::RecordQuery`], merged leaf): the
-    /// record edge precedes the query edge within one work-queue pop.
-    /// Query-first ([`EdgeOp::QueryRecord`], unmerged twins): the elided
-    /// query twin is the later dispatch candidate, so it pops first off
-    /// the LIFO work stack, before the recorder twin's delivery — and
-    /// since that twin's pop is elided, its occurrence is counted here.
+    /// bucket access ([`NegationState::fused_probe`]). `record_first` is
+    /// [`EdgeOp::RecordQuery`] (merged leaf: one pop serves both edges);
+    /// otherwise [`EdgeOp::QueryRecord`] (unmerged twins), whose query
+    /// twin is elided from dispatch, so its occurrence is counted here.
     /// Lowering only emits these ops when the record key spec equals the
     /// query key spec, so a single probe provably serves both deliveries
     /// (in the twin shape, the downstream emission also cannot observe the
@@ -1307,25 +1054,10 @@ impl Runtime {
         inst: &Arc<Instance>,
         record_first: bool,
     ) {
-        let (from, to, exclusive) = match query_node.kind {
-            NodeKind::Seq => {
-                let from = if query_node.within == Span::MAX {
-                    Timestamp::ZERO
-                } else {
-                    inst.t_end().saturating_sub(query_node.within)
-                };
-                (from, inst.t_begin(), true)
-            }
-            NodeKind::TSeq { min_dist, max_dist } => {
-                let from = inst.t_end().saturating_sub(max_dist);
-                let to = inst.t_end().saturating_sub(min_dist).min(inst.t_begin());
-                (from, to, false)
-            }
-            ref other => unreachable!("fused negation delivery on {other:?}"),
-        };
+        let (from, to, exclusive) = negation_window(query_node, inst);
         if !record_first {
             // The elided query twin would have been its own work-queue pop;
-            // keep the occurrence count comparable across executors.
+            // count it as if it had been dispatched.
             self.stats.occurrences += 1;
         }
         let spec_idx = query_node.hist_spec.expect("query plan has a spec").0 as usize;
@@ -1346,8 +1078,8 @@ impl Runtime {
                 }
                 // Lowering guarantees this spec's extracts equal the query
                 // node's right-side join key, so `key` doubles as the
-                // query key — and its absence as the walker's dropped
-                // delivery.
+                // query key — and its absence as a delivery with no key,
+                // which never queries.
                 if i == spec_idx {
                     debug_assert_eq!(
                         Some(&key),
@@ -1357,22 +1089,14 @@ impl Runtime {
                     if self.obs.level.counters() {
                         self.obs.arena.probed(query_node.id.idx());
                     }
-                    occurred = Some(neg.fused_probe(
-                        i,
-                        key,
-                        inst.t_end(),
-                        from,
-                        to,
-                        exclusive,
-                        record_first,
-                    ));
+                    occurred = Some(neg.fused_probe(i, key, inst.t_end(), from, to, exclusive));
                 } else {
                     neg.record(i, key, inst.t_end());
                 }
             }
         }
         if occurred == Some(false) {
-            let absence = Arc::new(Instance::absence(from, to));
+            let absence = Arc::new(Instance::absence(from.min(to), to));
             let out = Arc::new(Instance::composite(
                 query_node.kind.name(),
                 vec![absence, inst.clone()],
@@ -1466,13 +1190,11 @@ impl Runtime {
                     }
                 });
                 match matched {
+                    // Consumption is per side: an observation both sides
+                    // match may still serve the other side (SEMANTICS.md
+                    // §2), so the outcome never depends on which delivery
+                    // runs first.
                     Some(e) => {
-                        // Retire every buffered copy of both constituents:
-                        // with unmerged same-pattern children an instance
-                        // can sit in both side buffers.
-                        own.remove_ptr_eq(bucket, &e.inst);
-                        own.remove_ptr_eq(bucket, inst);
-                        other.remove_ptr_eq(bucket, inst);
                         let children = if side == 0 {
                             vec![inst.clone(), e.inst]
                         } else {
@@ -1500,22 +1222,7 @@ impl Runtime {
             }
             Plan::LeftNegationQuery => {
                 debug_assert_eq!(side, 1, "negated initiator never delivers");
-                let (from, to, exclusive) = match node.kind {
-                    NodeKind::Seq => {
-                        let from = if node.within == Span::MAX {
-                            Timestamp::ZERO
-                        } else {
-                            inst.t_end().saturating_sub(node.within)
-                        };
-                        (from, inst.t_begin(), true)
-                    }
-                    NodeKind::TSeq { min_dist, max_dist } => {
-                        let from = inst.t_end().saturating_sub(max_dist);
-                        let to = inst.t_end().saturating_sub(min_dist).min(inst.t_begin());
-                        (from, to, false)
-                    }
-                    ref other => unreachable!("LeftNegationQuery on {other:?}"),
-                };
+                let (from, to, exclusive) = negation_window(node, inst);
                 let Some(key) = negation_query_key(node, 1, inst) else {
                     return;
                 };
@@ -1530,26 +1237,22 @@ impl Runtime {
                     other => unreachable!("negation child has state {other:?}"),
                 };
                 if !occurred {
-                    let absence = Arc::new(Instance::absence(from, to));
+                    let absence = Arc::new(Instance::absence(from.min(to), to));
                     let out = Arc::new(Instance::pair(kind_name, absence, inst.clone()));
                     self.work.push((parent, out));
                 }
             }
             Plan::LeftAperiodicQuery => {
                 debug_assert_eq!(side, 1);
-                let from = if node.within == Span::MAX {
-                    Timestamp::ZERO
-                } else {
-                    inst.t_end().saturating_sub(node.within)
-                };
-                let (last_min, last_max) = match node.kind {
-                    NodeKind::Seq => (Timestamp::ZERO, inst.t_begin()),
-                    NodeKind::TSeq { min_dist, max_dist } => (
-                        inst.t_end().saturating_sub(max_dist),
-                        inst.t_end().saturating_sub(min_dist).min(inst.t_begin()),
-                    ),
+                let from = window_start(inst, node.within);
+                let (last_min, min_dist) = match node.kind {
+                    NodeKind::Seq => (Timestamp::ZERO, Span::ZERO),
+                    NodeKind::TSeq { min_dist, max_dist } => {
+                        (inst.t_end().saturating_sub(max_dist), min_dist)
+                    }
                     ref other => unreachable!("LeftAperiodicQuery on {other:?}"),
                 };
+                let (last_max, exclusive) = before_terminator(inst, min_dist);
                 let within = node.within;
                 let kind_name = node.kind.name();
                 let seqplus_child = node.children[0];
@@ -1559,7 +1262,7 @@ impl Runtime {
                 let NodeState::Aperiodic(ap) = &mut self.states[seqplus_child.idx()] else {
                     unreachable!("aperiodic child state");
                 };
-                let elements = ap.take_window(from, last_max);
+                let elements = ap.take_window(from, last_max, exclusive);
                 if elements.is_empty() {
                     return;
                 }
@@ -1716,8 +1419,8 @@ impl Runtime {
     }
 
     /// Shared machinery of `AndNegation` and `RightNegationWait`: check the
-    /// past part of the window now; if the window extends into the future,
-    /// anchor the instance and schedule a pseudo event at its close.
+    /// past part of the window now (early rejection), then anchor the
+    /// instance and schedule a pseudo event at the window's close.
     fn wait_on_negation(
         &mut self,
         node: &Node,
@@ -1731,7 +1434,6 @@ impl Runtime {
         };
         let spec = node.hist_spec.expect("wait plan has a spec").0 as usize;
         let not_child = node.children[not_side as usize];
-        let kind_name = node.kind.name();
 
         let past_end = self.clock.min(to);
         if from <= past_end {
@@ -1745,18 +1447,6 @@ impl Runtime {
             if occurred {
                 return;
             }
-        }
-        if to <= self.clock {
-            // Whole window already elapsed (lagged push-side delivery).
-            let absence = Arc::new(Instance::absence(from, to));
-            let children = if not_side == 0 {
-                vec![absence, inst.clone()]
-            } else {
-                vec![inst.clone(), absence]
-            };
-            self.work
-                .push((node.id, Arc::new(Instance::composite(kind_name, children))));
-            return;
         }
         self.seq += 1;
         let anchor = self.seq;
@@ -1775,8 +1465,12 @@ impl Runtime {
         if self.obs.level.counters() {
             self.obs.arena.admitted(node.id.idx());
         }
+        // A window that already closed (lagged push-side delivery) resolves
+        // at this instant — still by pseudo event, so that it sees every
+        // occurrence the negated child detects at this instant too
+        // (children-first pseudo order).
         self.pseudo.schedule(PseudoEvent {
-            exec: to,
+            exec: to.max(self.clock),
             seq: anchor,
             action: PseudoAction::ResolveWait {
                 node: node.id,
@@ -1784,6 +1478,42 @@ impl Runtime {
             },
         });
     }
+}
+
+/// Where a past-looking window opens: `within` before the terminator
+/// ends, or the epoch when the window is unbounded.
+fn window_start(inst: &Instance, within: Span) -> Timestamp {
+    if within == Span::MAX {
+        Timestamp::ZERO
+    } else {
+        inst.t_end().saturating_sub(within)
+    }
+}
+
+/// Where a past-looking window closes (SEMANTICS.md §3, plan 1): strictly
+/// before the terminator begins, or at `t_end − τl` inclusive when that
+/// comes first. Returns `(end, exclusive)`. Nothing detected from the
+/// terminator's own instant is ever inside, so the answer never depends
+/// on whether a same-observation record ran before the query.
+fn before_terminator(inst: &Instance, min_dist: Span) -> (Timestamp, bool) {
+    let by_distance = inst.t_end().saturating_sub(min_dist);
+    if by_distance >= inst.t_begin() {
+        (inst.t_begin(), true)
+    } else {
+        (by_distance, false)
+    }
+}
+
+/// The negation window `(from, to, exclusive)` a `SEQ(¬A; B)` /
+/// `TSEQ(¬A; B)` terminator queries.
+fn negation_window(node: &Node, inst: &Instance) -> (Timestamp, Timestamp, bool) {
+    let (from, min_dist) = match node.kind {
+        NodeKind::Seq => (window_start(inst, node.within), Span::ZERO),
+        NodeKind::TSeq { min_dist, max_dist } => (inst.t_end().saturating_sub(max_dist), min_dist),
+        ref other => unreachable!("negation query on {other:?}"),
+    };
+    let (to, exclusive) = before_terminator(inst, min_dist);
+    (from, to, exclusive)
 }
 
 /// The key the negation must be queried under, extracted from the push-side

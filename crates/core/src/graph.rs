@@ -462,7 +462,9 @@ impl EventGraph {
             )?,
         };
 
-        if self.merging_enabled {
+        // A `SEQ+` history is consumed by the parent that drains it, so it
+        // is never shared: sharing would couple the rules' consumption.
+        if self.merging_enabled && !matches!(expr, EventExpr::SeqPlus(_)) {
             self.memo.insert((expr.clone(), inherited), id);
         }
         Ok((id, exports, vars))

@@ -71,12 +71,12 @@ pub mod stats;
 pub use analyze::{DiagCode, Diagnostic, RuleEvent, Severity};
 pub use bounds::{Bounds, BoundsSummary, NodeBounds};
 pub use cost::{subsumes, Cost, CostEstimate, Subsumption};
-pub use engine::{Engine, EngineConfig, ExecMode, RuleId, PROCESS_ALL_BATCH};
+pub use engine::{Engine, EngineConfig, RuleId, PROCESS_ALL_BATCH};
 pub use error::InvalidRule;
 pub use graph::{DetectionMode, EventGraph, NodeId};
 pub use obs::{
     FlightRecord, FlightRecorder, Histogram, MetricsArena, ObserveLevel, TelemetrySnapshot,
 };
 pub use plan::{CompiledPlan, EdgeOp, InlineBuf, OpTag};
-pub use shard::{PartitionCost, ShardConfig, Shardability, ShardedEngine};
+pub use shard::{ShardConfig, Shardability, ShardedEngine};
 pub use stats::EngineStats;

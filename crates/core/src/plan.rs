@@ -6,7 +6,7 @@
 //! graph's numbering and stores everything the hot path consults per
 //! occurrence — the constructor tag, the rules to fire, and the parent
 //! edges with their delivery side — in contiguous arenas indexed by node
-//! id. The per-event costs this removes from the graph walker:
+//! id. The per-event costs this removes from walking the graph directly:
 //!
 //! * **leaf dispatch** — two hash-map probes, a group-string lookup, and a
 //!   per-candidate pattern re-check become one direct index into a
@@ -17,11 +17,13 @@
 //!   parent's child list on every delivery becomes a precomputed
 //!   [`EdgeOp`] per edge.
 //!
-//! The executor lives in [`crate::engine`]; the graph walker is retained as
-//! a runtime-selectable oracle ([`crate::engine::ExecMode::Graph`]) for
-//! differential tests and the `fig9_hotpath --graph` ablation. Lowering is
-//! deterministic and total: every well-formed graph lowers, and the plan
-//! encodes exactly the walker's candidate and delivery order.
+//! The executor lives in [`crate::engine`]; it is the only one. (A graph
+//! walker executor ran beside it as a differential oracle until the
+//! independent reference evaluator in `crates/core/tests/common` replaced
+//! it.) Lowering is deterministic and total: every well-formed graph
+//! lowers. "Walker order" below names the delivery order a direct walk of
+//! the graph produces — candidates in dispatch-row order onto a LIFO work
+//! stack, parents in link order — which the plan keeps.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -95,12 +97,11 @@ pub enum EdgeOp {
     /// on (the engine default), `WITHIN(NOT(A); A, w)` hash-conses both
     /// copies of `A` into one leaf whose edge list is the adjacent pair
     /// `[Left→NOT, Right→query]`; this edge collapses the pair into one
-    /// bucket access that records into the `NOT` parent's history and then
-    /// answers the query parent's window probe. Record-before-query is the
-    /// walker's order (edges run in parent-list order within one work-queue
-    /// pop). Only emitted when the record key spec and the query key spec
-    /// are syntactically identical, so both probes provably hit the same
-    /// history entry.
+    /// bucket access that answers the query parent's window probe and
+    /// records into the `NOT` parent's history (in either order: the
+    /// window ends before the read's own instant). Only emitted when the
+    /// record key spec and the query key spec are syntactically identical,
+    /// so both probes provably hit the same history entry.
     RecordQuery {
         /// The `LeftNegationQuery` parent whose window probe is folded in.
         query: u32,
@@ -109,10 +110,8 @@ pub enum EdgeOp {
     /// (ablation A1), the two copies of `A` compile into twin leaves with
     /// identical patterns — so every observation hits both, and dispatch
     /// can deliver once: this edge (on the recorder twin) answers the query
-    /// parent's window probe and then records, while the query twin is
-    /// elided from the dispatch rows. Query-before-record is the walker's
-    /// order — the query twin is the later candidate, and the work stack is
-    /// LIFO, so it pops first. Only emitted when the twins are provably
+    /// parent's window probe and records, while the query twin is elided
+    /// from the dispatch rows. Only emitted when the twins are provably
     /// interchangeable: identical patterns, an exclusive single-parent
     /// chain (leaf→`NOT`→query), and a record key spec syntactically equal
     /// to the query key spec.

@@ -35,18 +35,51 @@ pub enum PseudoAction {
     },
 }
 
+impl PseudoAction {
+    /// The node the action resolves.
+    pub fn node(&self) -> NodeId {
+        match *self {
+            PseudoAction::CloseRun { node, .. } | PseudoAction::ResolveWait { node, .. } => node,
+        }
+    }
+}
+
 /// A scheduled pseudo event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+///
+/// Simultaneous pseudo events fire children-first (node ids are a
+/// topological order of the graph), then FIFO per node. So when a window
+/// closes at `t`, every occurrence its negated child detects *at* `t` — a
+/// nested window or a `TSEQ+` run closing at the same instant — is already
+/// recorded, and a run closing at `t` has seen every element detected at
+/// `t` (SEMANTICS.md §4).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PseudoEvent {
     /// Execution time.
     pub exec: Timestamp,
-    /// Scheduling order tie-break, so simultaneous pseudo events fire FIFO.
+    /// Scheduling order tie-break among one node's simultaneous events.
     pub seq: u64,
     /// The action to perform.
     pub action: PseudoAction,
 }
 
-/// Min-heap of pseudo events by `(exec, seq)`.
+impl Ord for PseudoEvent {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        (self.exec, self.action.node(), self.seq, self.action).cmp(&(
+            other.exec,
+            other.action.node(),
+            other.seq,
+            other.action,
+        ))
+    }
+}
+
+impl PartialOrd for PseudoEvent {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// Min-heap of pseudo events by `(exec, node, seq)`.
 #[derive(Debug, Default)]
 pub struct PseudoQueue {
     heap: BinaryHeap<Reverse<PseudoEvent>>,

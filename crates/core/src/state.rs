@@ -122,23 +122,6 @@ impl<T> MicroDeque<T> {
         }
     }
 
-    fn retain(&mut self, mut keep: impl FnMut(&T) -> bool) {
-        match self {
-            MicroDeque::Inline { len, buf } => {
-                let mut kept = 0;
-                for i in 0..usize::from(*len) {
-                    let v = buf[i].take().expect("slot full");
-                    if keep(&v) {
-                        buf[kept] = Some(v);
-                        kept += 1;
-                    }
-                }
-                *len = kept as u8;
-            }
-            MicroDeque::Heap(q) => q.retain(|v| keep(v)),
-        }
-    }
-
     fn iter(&self) -> MicroIter<'_, T> {
         match self {
             MicroDeque::Inline { len, buf } => MicroIter::Inline(buf[..usize::from(*len)].iter()),
@@ -315,19 +298,6 @@ impl KeyedBuffer {
         let pos = q.iter().position(&mut pred)?;
         self.len -= 1;
         q.remove(pos)
-    }
-
-    /// Removes every entry under `key` holding exactly this instance
-    /// (pointer identity). Used when a pair is consumed: with unmerged
-    /// same-pattern children, one physical instance may sit in both side
-    /// buffers, and chronicle consumption must retire every copy.
-    pub fn remove_ptr_eq(&mut self, key: &Key, inst: &Arc<Instance>) {
-        if let Some(&slot) = self.index.get(key) {
-            let q = &mut self.slots[slot as usize].q;
-            let before = q.len();
-            q.retain(|e| !Arc::ptr_eq(&e.inst, inst));
-            self.len -= before - q.len();
-        }
     }
 
     /// Drops every entry (across keys) whose expiry-log record has
@@ -634,14 +604,13 @@ impl NegationState {
         tb.slots[slot as usize].hist.insert(t);
     }
 
-    /// Answers a window query and records an occurrence ending at `t`
+    /// Answers a window query, then records an occurrence ending at `t`
     /// against the same history entry, in one bucket probe — the fused
-    /// in-field deliveries ([`crate::plan::EdgeOp::RecordQuery`] with
-    /// `record_first`, [`crate::plan::EdgeOp::QueryRecord`] without).
-    /// Equivalent to [`NegationState::record`] and
-    /// [`NegationState::occurred`] under the same key, in the order the
-    /// flag selects — each fused shape preserves its walker order.
-    #[allow(clippy::too_many_arguments)]
+    /// in-field deliveries ([`crate::plan::EdgeOp::RecordQuery`],
+    /// [`crate::plan::EdgeOp::QueryRecord`]). Equivalent to
+    /// [`NegationState::occurred`] then [`NegationState::record`] under the
+    /// same key; the order is immaterial because a terminator's window
+    /// ends strictly before its own instant.
     pub fn fused_probe(
         &mut self,
         spec: usize,
@@ -650,20 +619,14 @@ impl NegationState {
         from: Timestamp,
         to: Timestamp,
         exclusive_end: bool,
-        record_first: bool,
     ) -> bool {
         let tb = &mut self.tables[spec];
         let slot = tb.slot_of(key);
         tb.log.push_back((t, slot));
         let hist = &mut tb.slots[slot as usize].hist;
-        if record_first {
-            hist.insert(t);
-            hist.any_in(from, to, exclusive_end)
-        } else {
-            let occurred = hist.any_in(from, to, exclusive_end);
-            hist.insert(t);
-            occurred
-        }
+        let occurred = hist.any_in(from, to, exclusive_end);
+        hist.insert(t);
+        occurred
     }
 
     /// Whether any occurrence under `key` falls in `[from, to]`
@@ -816,11 +779,21 @@ impl AperiodicState {
         }
     }
 
-    /// Removes and returns all occurrences with end-time in `[from, to]`,
-    /// oldest first (chronicle: a consumed run is not reused).
-    pub fn take_window(&mut self, from: Timestamp, to: Timestamp) -> Vec<Arc<Instance>> {
+    /// Removes and returns all occurrences with end-time in `[from, to]`
+    /// (or `[from, to)` when `exclusive_end`), oldest first (chronicle: a
+    /// consumed run is not reused).
+    pub fn take_window(
+        &mut self,
+        from: Timestamp,
+        to: Timestamp,
+        exclusive_end: bool,
+    ) -> Vec<Arc<Instance>> {
         let start = self.hist.partition_point(|&(t, _)| t < from);
-        let end = self.hist.partition_point(|&(t, _)| t <= to);
+        let end = self
+            .hist
+            .partition_point(|&(t, _)| t < to || (!exclusive_end && t == to))
+            // A terminator wider than its window leaves `from` past `to`.
+            .max(start);
         self.hist.drain(start..end).map(|(_, i)| i).collect()
     }
 
@@ -1224,10 +1197,13 @@ mod tests {
         for ms in [100u64, 200, 300, 400] {
             ap.record(inst(ms));
         }
-        let got = ap.take_window(Timestamp::from_millis(150), Timestamp::from_millis(400));
-        assert_eq!(got.len(), 3, "window is inclusive at both ends");
+        let (from, to) = (Timestamp::from_millis(150), Timestamp::from_millis(400));
+        let got = ap.take_window(from, to, true);
+        assert_eq!(got.len(), 2, "an exclusive end leaves the boundary element");
+        let got = ap.take_window(from, to, false);
+        assert_eq!(got.len(), 1, "an inclusive end takes it");
         assert_eq!(ap.len(), 1, "taken elements are consumed");
-        let again = ap.take_window(Timestamp::from_millis(150), Timestamp::from_millis(400));
+        let again = ap.take_window(from, to, false);
         assert!(again.is_empty());
     }
 

@@ -127,14 +127,18 @@ engine_stats! {
     /// spill; nonzero means `crate::state::RUN_INLINE` is undersized for
     /// the workload.
     run_spills: Counter,
-    /// Observation batches executed through the vectorized path
-    /// (`Engine::process_batch`); zero when every event went through the
-    /// scalar `Engine::process`.
+    /// Observation batches executed (`Engine::process_batch`; each
+    /// `Engine::process` call is a one-observation batch).
     batches_processed: Counter,
     /// Batch-boundary sweep checks that found no due expiry deadline and
-    /// therefore pruned nothing — the passes the watermark-amortized
-    /// sweeping saves over the fixed `sweep_every` cadence.
+    /// therefore pruned nothing. (A per-N-events cadence sweep that visited
+    /// every node preceded the deadline sweep.)
     sweeps_skipped: Counter,
+    /// Observations fed with a timestamp earlier than the engine clock.
+    /// They are processed at the clock, which can change what fires, so
+    /// any nonzero value means the feed broke the ordering contract
+    /// (SEMANTICS.md §4).
+    late_events: Counter,
 }
 
 impl std::fmt::Display for EngineStats {
@@ -143,7 +147,7 @@ impl std::fmt::Display for EngineStats {
             f,
             "events={} matched={} pseudo={}/{} occurrences={} firings={} drops={} sweeps={} \
              batches={} qdepth={} negkeys={} buffered={} joinkeys={} rworkers={} plan={}n/{}B \
-             rundepth={} spills={} pbatches={} sweepskip={}",
+             rundepth={} spills={} pbatches={} sweepskip={} late={}",
             self.events,
             self.matched_events,
             self.pseudo_fired,
@@ -164,6 +168,7 @@ impl std::fmt::Display for EngineStats {
             self.run_spills,
             self.batches_processed,
             self.sweeps_skipped,
+            self.late_events,
         )
     }
 }
@@ -195,6 +200,7 @@ mod tests {
             run_spills: seed + 10,
             batches_processed: seed + 11,
             sweeps_skipped: seed + 12,
+            late_events: seed + 13,
         }
     }
 
@@ -298,6 +304,6 @@ mod tests {
             "re-classifying a field is a semantic change: update this test \
              and the EXPERIMENTS.md tables together"
         );
-        assert_eq!(EngineStats::FIELDS.len(), 20);
+        assert_eq!(EngineStats::FIELDS.len(), 21);
     }
 }

@@ -1,21 +1,21 @@
-//! Batch execution ≡ scalar execution: for any rule program drawn from
-//! the paper's rule shapes, feeding a simulator trace through
-//! `Engine::process_batch` (at any chunking) must emit exactly the same
-//! multiset of rule firings — and the same invariant counter totals — as
-//! feeding it one observation at a time through `Engine::process`. This
-//! is the differential harness behind the vectorized path (DESIGN.md
-//! §16): batching only amortizes dispatch, pseudo-queue peeks, and sweep
-//! scheduling; it never changes what the engine detects.
+//! Batching never changes detection: for any rule program drawn from the
+//! paper's rule shapes, feeding a simulator trace one observation at a
+//! time (`Engine::process`, a one-element batch) must emit exactly the
+//! same multiset of rule firings — and the same detection counters — as
+//! feeding it through `Engine::process_batch` in larger chunks. This is
+//! the differential harness behind the vectorized path (DESIGN.md §16):
+//! chunking only amortizes dispatch, pseudo-queue peeks, and sweep
+//! scheduling.
 //!
-//! Counters that describe *sweep cadence* (`sweeps`, `sweeps_skipped`,
+//! Counters that describe *sweep timing* (`sweeps`, `sweeps_skipped`,
 //! `batches_processed`, the per-node prune counts, and the buffered-state
-//! gauges) legitimately diverge between the cadence sweep and the
-//! watermark-deadline sweep, so the comparison pins the detection
-//! counters only: events, matched events, occurrences, rule firings,
-//! pseudo events scheduled/fired, and capacity drops.
+//! gauges) legitimately depend on where batch boundaries fall, so the
+//! comparison pins the detection counters only: events, matched events,
+//! occurrences, rule firings, pseudo events scheduled/fired, and capacity
+//! drops.
 
 use proptest::prelude::*;
-use rceda::engine::{Engine, EngineConfig, ExecMode, RuleId};
+use rceda::engine::{Engine, EngineConfig, RuleId};
 use rceda::{EngineStats, ObserveLevel};
 use rfid_events::{EventExpr, Instance, Observation, Span, Timestamp};
 use rfid_simulator::{SimConfig, SupplyChain};
@@ -25,9 +25,9 @@ use std::sync::OnceLock;
 /// emission order: rule, instance window, and constituent observations.
 type Fingerprint = (u32, Timestamp, Timestamp, Vec<Observation>);
 
-/// The same shape pool as `plan_equivalence`/`bounds_equivalence`: every
-/// plan variant the lowering distinguishes, so every arrival handler and
-/// every sweepable store sits under the batch loop.
+/// The same shape pool as `bounds_equivalence`: every plan variant the
+/// lowering distinguishes, so every arrival handler and every sweepable
+/// store sits under the batch loop.
 const SHAPES: usize = 8;
 const WINDOWS: [Span; 3] = [Span::from_secs(2), Span::from_secs(5), Span::from_secs(30)];
 
@@ -96,10 +96,9 @@ fn fixture() -> &'static Fixture {
     })
 }
 
-/// Runs one configuration; `batch == 0` is the scalar oracle, anything
-/// else chunks the stream through `process_batch`.
+/// Runs one configuration; `batch == 1` feeds the stream through
+/// `process`, anything else chunks it through `process_batch`.
 fn run(
-    mode: ExecMode,
     enforce: bool,
     observe: ObserveLevel,
     batch: usize,
@@ -107,7 +106,6 @@ fn run(
 ) -> (Vec<Fingerprint>, EngineStats) {
     let fx = fixture();
     let config = EngineConfig {
-        exec: mode,
         enforce_bounds: enforce,
         observe,
         ..EngineConfig::default()
@@ -123,7 +121,7 @@ fn run(
     let mut sink = |rule: RuleId, inst: &Instance| {
         out.push((rule.0, inst.t_begin(), inst.t_end(), inst.observations()));
     };
-    if batch == 0 {
+    if batch == 1 {
         for &obs in &fx.stream {
             engine.process(obs, &mut sink);
         }
@@ -156,38 +154,36 @@ proptest! {
 
     /// Any program of up to four rules from the shape pool fires
     /// identically — with identical detection counters — whether the
-    /// stream is fed per observation or in batches, at every chunking,
-    /// under both executors and both bound-enforcement modes.
+    /// stream is fed per observation or in chunks, at every chunking and
+    /// under both bound-enforcement modes.
     #[test]
     fn batched_execution_preserves_firings_and_counters(
         program in proptest::collection::vec((0usize..SHAPES, 0usize..WINDOWS.len()), 1..=4),
-        batch in prop_oneof![Just(1usize), Just(7), Just(64), Just(256), Just(2_000)],
+        batch in prop_oneof![Just(7usize), Just(64), Just(256), Just(2_000)],
         observe in prop_oneof![Just(ObserveLevel::Off), Just(ObserveLevel::Counters)],
     ) {
-        for mode in [ExecMode::Plan, ExecMode::Graph] {
-            for enforce in [true, false] {
-                let (scalar_firings, scalar_stats) =
-                    run(mode, enforce, observe, 0, &program);
-                let (batch_firings, batch_stats) =
-                    run(mode, enforce, observe, batch, &program);
-                prop_assert_eq!(
-                    &scalar_firings,
-                    &batch_firings,
-                    "firing multisets diverged under {:?} enforce={} batch={}",
-                    mode, enforce, batch
-                );
-                prop_assert_eq!(
-                    detection_counters(&scalar_stats),
-                    detection_counters(&batch_stats),
-                    "detection counters diverged under {:?} enforce={} batch={}",
-                    mode, enforce, batch
-                );
-                prop_assert_eq!(
-                    batch_stats.batches_processed,
-                    (fixture().stream.len() as u64).div_ceil(batch.max(1) as u64),
-                    "every chunk goes through the batch path"
-                );
-            }
+        for enforce in [true, false] {
+            let (single_firings, single_stats) = run(enforce, observe, 1, &program);
+            let (batch_firings, batch_stats) = run(enforce, observe, batch, &program);
+            prop_assert_eq!(
+                &single_firings,
+                &batch_firings,
+                "firing multisets diverged under enforce={} batch={}",
+                enforce, batch
+            );
+            prop_assert_eq!(
+                detection_counters(&single_stats),
+                detection_counters(&batch_stats),
+                "detection counters diverged under enforce={} batch={}",
+                enforce, batch
+            );
+            let events = fixture().stream.len() as u64;
+            prop_assert_eq!(single_stats.batches_processed, events, "process is a one-element batch");
+            prop_assert_eq!(
+                batch_stats.batches_processed,
+                events.div_ceil(batch as u64),
+                "every chunk goes through the batch path"
+            );
         }
     }
 }

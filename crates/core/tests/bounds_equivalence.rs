@@ -14,7 +14,7 @@
 //! state dies*.
 
 use proptest::prelude::*;
-use rceda::engine::{Engine, EngineConfig, ExecMode, RuleId};
+use rceda::engine::{Engine, EngineConfig, RuleId};
 use rfid_events::{EventExpr, Instance, Observation, Span, Timestamp};
 use rfid_simulator::{SimConfig, SupplyChain};
 use std::sync::OnceLock;
@@ -94,10 +94,9 @@ fn fixture() -> &'static Fixture {
     })
 }
 
-fn run(mode: ExecMode, enforce: bool, program: &[(usize, usize)]) -> Vec<Fingerprint> {
+fn run(enforce: bool, program: &[(usize, usize)]) -> Vec<Fingerprint> {
     let fx = fixture();
     let config = EngineConfig {
-        exec: mode,
         enforce_bounds: enforce,
         ..EngineConfig::default()
     };
@@ -124,22 +123,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Any program of up to five rules drawn from the shape pool fires
-    /// identically with bound enforcement on and off, under both
-    /// executors. Merging stays on (the engine default) so the solver also
+    /// identically with bound enforcement on and off. Merging stays on (the engine default) so the solver also
     /// sees hash-consed nodes shared between rules with different windows.
     #[test]
     fn enforced_bounds_preserve_the_firing_multiset(
         program in proptest::collection::vec((0usize..SHAPES, 0usize..WINDOWS.len()), 1..=5)
     ) {
-        for mode in [ExecMode::Plan, ExecMode::Graph] {
-            let enforced = run(mode, true, &program);
-            let conservative = run(mode, false, &program);
-            prop_assert_eq!(
-                enforced,
-                conservative,
-                "firing multisets diverged under {:?}",
-                mode
-            );
-        }
+        let enforced = run(true, &program);
+        let conservative = run(false, &program);
+        prop_assert_eq!(enforced, conservative, "firing multisets diverged");
     }
 }

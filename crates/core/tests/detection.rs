@@ -1,8 +1,17 @@
 //! End-to-end detection tests against the paper's own examples:
 //! Fig. 4 (chronicle TSEQ+ packing), Fig. 8 (pseudo-event negation),
 //! Rules 1–5, and assorted constructor semantics.
+//!
+//! Every fixture run is also replayed through the reference evaluator
+//! (`common::reference`, the executable form of `docs/SEMANTICS.md`), which
+//! must produce exactly the engine's firing multiset — so each paper
+//! example below proves the reference as well as the engine.
+
+mod common;
 
 use std::sync::Arc;
+
+use common::reference;
 
 use rceda::{Engine, EngineConfig, RuleId};
 use rfid_epc::{Epc, Gid96, ReaderId};
@@ -13,6 +22,7 @@ use rfid_events::{EventExpr, Instance, Observation, Span, Timestamp};
 struct Fixture {
     engine: Engine,
     readers: Vec<ReaderId>,
+    rules: Vec<EventExpr>,
 }
 
 fn obj(class: u64, serial: u64) -> Epc {
@@ -38,10 +48,12 @@ impl Fixture {
         Self {
             engine: Engine::new(catalog, EngineConfig::default()),
             readers,
+            rules: Vec::new(),
         }
     }
 
     fn rule(&mut self, name: &str, e: EventExpr) -> RuleId {
+        self.rules.push(e.clone());
         self.engine.add_rule(name, e).unwrap()
     }
 
@@ -59,9 +71,20 @@ impl Fixture {
                 )
             })
             .collect();
-        self.engine.process_all(stream, &mut |rule, inst| {
-            out.push((rule, Arc::new(inst.clone())));
-        });
+        self.engine
+            .process_all(stream.iter().copied(), &mut |rule, inst| {
+                out.push((rule, Arc::new(inst.clone())));
+            });
+        let engine: Vec<reference::Firing> = out
+            .iter()
+            .map(|(rule, inst)| (rule.0 as usize, inst.clone()))
+            .collect();
+        let expected = reference::evaluate(self.engine.catalog(), &self.rules, &stream);
+        assert_eq!(
+            reference::fingerprints(&engine),
+            reference::fingerprints(&expected),
+            "engine and reference evaluator disagree"
+        );
         out
     }
 }

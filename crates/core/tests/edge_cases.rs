@@ -176,15 +176,11 @@ fn unbounded_seq_is_capped() {
     assert_eq!(stats.capacity_drops, 100 - 16, "oldest 84 evicted");
 }
 
-/// Sweeping prunes aged buffers; correctness after many windows' worth of
-/// traffic is unchanged.
+/// Sweeping (on by default, at batch boundaries) prunes aged buffers;
+/// correctness after many windows' worth of traffic is unchanged.
 #[test]
 fn sweeping_does_not_disturb_detection() {
-    let config = EngineConfig {
-        sweep_every: 64,
-        ..EngineConfig::default()
-    };
-    let mut engine = Engine::new(catalog(2), config);
+    let mut engine = Engine::new(catalog(2), EngineConfig::default());
     engine
         .add_rule("seq", at("r1").seq(at("r2")).within(Span::from_secs(2)))
         .unwrap();
@@ -344,11 +340,7 @@ fn deeply_nested_rule() {
 /// not to the stream length.
 #[test]
 fn working_set_is_bounded_by_the_window() {
-    let config = EngineConfig {
-        sweep_every: 128,
-        ..EngineConfig::default()
-    };
-    let mut engine = Engine::new(catalog(2), config);
+    let mut engine = Engine::new(catalog(2), EngineConfig::default());
     engine
         .add_rule("seq", at("r1").seq(at("r2")).within(Span::from_secs(2)))
         .unwrap();
@@ -366,6 +358,42 @@ fn working_set_is_bounded_by_the_window() {
     assert!(
         peak_after_warmup < 2_000,
         "working set grew to {peak_after_warmup} — pruning is broken"
+    );
+    assert!(engine.stats().sweeps > 0);
+}
+
+/// An observation older than the engine clock breaks the ordering
+/// contract. It is still processed, at the clock, so it can change what
+/// fires (here `WITHIN(r1 ∧ ¬r2, 10s)` misses the late r2@15 that blocks
+/// r1@10 in the sorted stream) — but never silently: `late_events` counts
+/// it, in release builds too.
+#[test]
+fn late_observations_are_counted() {
+    let run = |stream: Vec<Observation>| {
+        let mut engine = Engine::new(catalog(2), EngineConfig::default());
+        engine
+            .add_rule(
+                "asset",
+                at("r1").and(at("r2").not()).within(Span::from_secs(10)),
+            )
+            .unwrap();
+        let fired = collect(&mut engine, stream).len();
+        (fired, engine.stats().late_events)
+    };
+    let (_, late) = run(vec![
+        obs(1, 1, 10_000),
+        obs(1, 2, 30_000),
+        obs(2, 3, 15_000),
+    ]);
+    assert_eq!(late, 1, "the r2@15 read arrived after r1@30");
+    assert_eq!(
+        run(vec![
+            obs(1, 1, 10_000),
+            obs(2, 3, 15_000),
+            obs(1, 2, 30_000)
+        ]),
+        (1, 0),
+        "the sorted stream fires once and counts nothing"
     );
 }
 
@@ -386,4 +414,235 @@ fn stats_are_coherent() {
     assert!(stats.matched_events <= stats.events);
     let line = stats.to_string();
     assert!(line.contains("events=2"), "{line}");
+}
+
+/// Readers `d1`, `d2` in group `dock`; `x`, `r1`–`r3` in groups of their
+/// own.
+fn dock_catalog() -> Catalog {
+    let mut c = Catalog::new();
+    c.readers.register("d1", "dock", "loc");
+    c.readers.register("d2", "dock", "loc");
+    for name in ["x", "r1", "r2", "r3"] {
+        c.readers.register(name, name, "loc");
+    }
+    c
+}
+
+fn read(catalog: &Catalog, reader: &str, serial: u64, ms: u64) -> Observation {
+    Observation::new(
+        catalog.reader(reader).expect("registered reader"),
+        epc(serial),
+        Timestamp::from_millis(ms),
+    )
+}
+
+/// Each firing as `(rule, t_begin, t_end, constituent read times)` in ms,
+/// with subgraph merging on or off.
+fn firings(
+    catalog: &Catalog,
+    merge: bool,
+    rules: &[EventExpr],
+    stream: &[Observation],
+) -> Vec<(u32, u64, u64, Vec<u64>)> {
+    let config = EngineConfig {
+        merge_subgraphs: merge,
+        ..EngineConfig::default()
+    };
+    let mut engine = Engine::new(catalog.clone(), config);
+    for (i, rule) in rules.iter().enumerate() {
+        engine.add_rule(&format!("r{i}"), rule.clone()).unwrap();
+    }
+    let mut out: Vec<_> = collect(&mut engine, stream.to_vec())
+        .into_iter()
+        .map(|(rule, inst)| {
+            let times = inst
+                .observations()
+                .iter()
+                .map(|o| o.at.as_millis())
+                .collect();
+            (
+                rule.0,
+                inst.t_begin().as_millis(),
+                inst.t_end().as_millis(),
+                times,
+            )
+        })
+        .collect();
+    out.sort();
+    out
+}
+
+/// Both merge settings give `expected`.
+fn assert_fires(
+    catalog: &Catalog,
+    rules: &[EventExpr],
+    stream: &[Observation],
+    expected: &[(u32, u64, u64, Vec<u64>)],
+) {
+    for merge in [true, false] {
+        assert_eq!(
+            firings(catalog, merge, rules, stream),
+            expected,
+            "merge={merge}"
+        );
+    }
+}
+
+/// A read matching both sides of a non-symmetric join is consumed per
+/// side: terminating a pair does not retire it as an initiator. (It used
+/// to be retired only when its initiator-side delivery happened to run
+/// first — a matter of dispatch order, here the `ANY` leaf.)
+#[test]
+fn overlapping_join_sides_consume_per_side() {
+    let c = dock_catalog();
+    let rule = EventExpr::observation()
+        .bind_object("o")
+        .seq(at("r1").bind_object("o"))
+        .within(Span::from_secs(10));
+    let stream = [
+        read(&c, "r1", 1, 1_000),
+        read(&c, "r1", 1, 2_000),
+        read(&c, "r1", 1, 3_000),
+    ];
+    assert_fires(
+        &c,
+        &[rule],
+        &stream,
+        &[
+            (0, 1_000, 2_000, vec![1_000, 2_000]),
+            (0, 2_000, 3_000, vec![2_000, 3_000]),
+        ],
+    );
+}
+
+/// `TSEQ(¬A; B, 0, τ)`'s window ends strictly before B begins, so B's own
+/// read never blocks it — with merging on the shared leaf records before
+/// it queries, and that used to block it.
+#[test]
+fn tseq_negation_never_sees_the_terminators_own_read() {
+    let c = dock_catalog();
+    let rule = at("r1")
+        .not()
+        .tseq(at("r1"), Span::ZERO, Span::from_secs(5));
+    let stream = [read(&c, "r1", 1, 1_000), read(&c, "r1", 2, 3_000)];
+    assert_fires(&c, &[rule], &stream, &[(0, 0, 1_000, vec![1_000])]);
+}
+
+/// A `SEQ+` run ends strictly before its terminator begins, so a read
+/// that is both an element and the terminator is never its own run.
+#[test]
+fn seqplus_run_never_contains_its_terminator() {
+    let c = dock_catalog();
+    let rule = at("r1")
+        .seq_plus()
+        .seq(at("r1"))
+        .within(Span::from_secs(10));
+    let stream = [
+        read(&c, "r1", 1, 1_000),
+        read(&c, "r1", 2, 2_000),
+        read(&c, "r1", 3, 3_000),
+    ];
+    assert_fires(
+        &c,
+        &[rule],
+        &stream,
+        &[
+            (0, 1_000, 2_000, vec![1_000, 2_000]),
+            (0, 2_000, 3_000, vec![2_000, 3_000]),
+        ],
+    );
+}
+
+/// Two rules draining the same `SEQ+` event each consume their own run:
+/// the history is never shared, so one rule's terminator cannot starve
+/// the other.
+#[test]
+fn seqplus_history_is_consumed_per_parent() {
+    let c = dock_catalog();
+    let run_then = |terminator: &str| {
+        at("r1")
+            .seq_plus()
+            .seq(at(terminator))
+            .within(Span::from_secs(10))
+    };
+    let stream = [
+        read(&c, "r1", 1, 1_000),
+        read(&c, "r1", 2, 2_000),
+        read(&c, "r2", 3, 3_000),
+        read(&c, "r3", 4, 4_000),
+    ];
+    assert_fires(
+        &c,
+        &[run_then("r2"), run_then("r3")],
+        &stream,
+        &[
+            (0, 1_000, 3_000, vec![1_000, 2_000, 3_000]),
+            (1, 1_000, 4_000, vec![1_000, 2_000, 4_000]),
+        ],
+    );
+}
+
+/// A window closing at `t` sees a negated occurrence that a nested window
+/// detects at the same `t`: simultaneous pseudo events fire children
+/// first. (They used to fire in scheduling order, which here put the
+/// outer window first.)
+#[test]
+fn simultaneous_window_closes_resolve_children_first() {
+    let c = dock_catalog();
+    let nested = at("x")
+        .not()
+        .and(at("d1").bind_object("o"))
+        .within(Span::from_secs(5));
+    let rule = EventExpr::observation_in_group("dock")
+        .bind_object("o")
+        .and(nested.not())
+        .within(Span::from_secs(3));
+    // The d1 read opens both windows; both close at 4 s, where the nested
+    // one fires and blocks the outer.
+    assert_fires(&c, &[rule], &[read(&c, "d1", 1, 1_000)], &[]);
+}
+
+/// A push-side occurrence detected after its window already closed still
+/// resolves by pseudo event, after everything detected at that instant:
+/// here the `TSEQ+` run timing out at 11.5 s ends inside the window.
+#[test]
+fn lagged_window_sees_same_instant_detections() {
+    let c = dock_catalog();
+    let run = at("d1").tseq_plus(Span::ZERO, Span::from_millis(1_500));
+    let lagged = at("x")
+        .not()
+        .and(EventExpr::observation_in_group("dock"))
+        .within(Span::from_secs(3));
+    let rule = run.not().and(lagged).within(Span::from_millis(1_500));
+    assert_fires(&c, &[rule], &[read(&c, "d1", 1, 10_000)], &[]);
+}
+
+/// Windows that come out empty fire with an empty absence witness instead
+/// of panicking: `SEQ(A; ¬B)` with A exactly as wide as the window, and
+/// `TSEQ(¬B; A)` with A wider than `τu`. A `SEQ+` drained by a terminator
+/// wider than the window takes nothing.
+#[test]
+fn empty_windows_do_not_panic() {
+    let c = dock_catalog();
+    let pair = || at("r1").seq(at("r2"));
+    let pair_reads = [read(&c, "r1", 1, 1_000), read(&c, "r2", 2, 6_000)];
+    let wait = pair().seq(at("r3").not()).within(Span::from_secs(5));
+    assert_fires(
+        &c,
+        &[wait],
+        &pair_reads,
+        &[(0, 1_000, 6_000, vec![1_000, 6_000])],
+    );
+    let query = at("r3").not().tseq(pair(), Span::ZERO, Span::from_secs(2));
+    assert_fires(
+        &c,
+        &[query],
+        &pair_reads,
+        &[(0, 1_000, 6_000, vec![1_000, 6_000])],
+    );
+
+    let wide = at("r2").and(at("r3").not()).within(Span::from_secs(2));
+    let drain = at("r1").seq_plus().seq(wide).within(Span::from_secs(2));
+    let stream = [read(&c, "r1", 1, 9_000), read(&c, "r2", 2, 10_000)];
+    assert_fires(&c, &[drain], &stream, &[]);
 }

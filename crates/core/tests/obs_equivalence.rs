@@ -7,7 +7,7 @@
 //! keyed sharding partitions the stream by object, every shard compiles
 //! the identical plan, and each counter is incremented per (observation,
 //! node) independently of which engine holds the key — so the sums are
-//! exact, not approximate. Sweeps are suppressed (`sweep_every` maxed):
+//! exact, not approximate. Sweeps are suppressed (`sweep: false`):
 //! shards cross their sweep thresholds at different stream positions, so
 //! prune counters are the one column the equivalence deliberately
 //! excludes (compared only under a no-sweep configuration here).
@@ -64,7 +64,7 @@ fn fixture() -> &'static Fixture {
 fn engine_config() -> EngineConfig {
     EngineConfig {
         observe: ObserveLevel::Counters,
-        sweep_every: u64::MAX,
+        sweep: false,
         ..EngineConfig::default()
     }
 }

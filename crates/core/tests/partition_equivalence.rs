@@ -8,7 +8,7 @@
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
-use rceda::engine::{Engine, EngineConfig, ExecMode, RuleId};
+use rceda::engine::{Engine, EngineConfig, RuleId};
 use rfid_events::{EventExpr, Instance, Observation, Span, Timestamp};
 use rfid_simulator::{SimConfig, SupplyChain};
 
@@ -61,14 +61,10 @@ fn fixture() -> &'static Fixture {
     FIXTURE.get_or_init(|| {
         let sim = SupplyChain::build(SimConfig::default());
         let stream = sim.generate(1_500).observations;
-        // The reference runs the graph-walker oracle, so every partitioned
-        // engine below (compiled-plan executor by default) is also checked
-        // differentially against the independent execution path.
-        let config = EngineConfig {
-            exec: ExecMode::Graph,
-            ..EngineConfig::default()
-        };
-        let mut engine = Engine::new(sim.catalog.clone(), config);
+        // The reference is one default engine over every rule; what it
+        // detects is itself pinned against the reference evaluator
+        // (`reference_equivalence`).
+        let mut engine = Engine::new(sim.catalog.clone(), EngineConfig::default());
         for (name, event) in rules() {
             engine.add_rule(name, event).expect("valid rule");
         }

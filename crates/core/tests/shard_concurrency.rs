@@ -26,7 +26,6 @@ fn tight_config() -> ShardConfig {
         queue_depth: 1,
         ordered_output: true,
         engine: EngineConfig::default(),
-        ..ShardConfig::default()
     }
 }
 

@@ -3,7 +3,7 @@
 //! count, on realistic simulator traces — including rules that fall back to
 //! the residual shard and rules that resolve through pseudo events.
 
-use rceda::engine::{Engine, EngineConfig, ExecMode, RuleId};
+use rceda::engine::{Engine, EngineConfig, RuleId};
 use rceda::shard::{ResidualReason, ShardConfig, Shardability, ShardedEngine};
 use rfid_events::{EventExpr, Instance, Observation, Span, Timestamp};
 use rfid_simulator::{SimConfig, SupplyChain};
@@ -62,14 +62,10 @@ fn fingerprint(rule: RuleId, inst: &Instance) -> Fingerprint {
 }
 
 fn reference_firings(sim: &SupplyChain, stream: &[Observation]) -> Vec<Fingerprint> {
-    // The reference runs the graph-walker oracle, so the sharded pipeline
-    // (whose workers run the compiled-plan executor by default) is also
-    // checked differentially against the independent execution path.
-    let config = EngineConfig {
-        exec: ExecMode::Graph,
-        ..EngineConfig::default()
-    };
-    let mut engine = Engine::new(sim.catalog.clone(), config);
+    // The reference is one default engine over every rule; what it
+    // detects is itself pinned against the reference evaluator
+    // (`reference_equivalence`).
+    let mut engine = Engine::new(sim.catalog.clone(), EngineConfig::default());
     for (name, event, _) in rules() {
         engine.add_rule(name, event).expect("valid rule");
     }
@@ -100,7 +96,6 @@ fn sharded_with_residual(
         queue_depth: 2,
         ordered_output: true,
         engine: EngineConfig::default(),
-        ..ShardConfig::default()
     };
     let mut engine = ShardedEngine::new(sim.catalog.clone(), config);
     for (name, event, expected) in rules() {
@@ -273,13 +268,7 @@ fn all_rules_shardable_skips_residual() {
     engine.add_rule(name, event).expect("valid rule");
     assert!(!engine.has_residual());
 
-    let mut single = Engine::new(
-        sim.catalog.clone(),
-        EngineConfig {
-            exec: ExecMode::Graph,
-            ..EngineConfig::default()
-        },
-    );
+    let mut single = Engine::new(sim.catalog.clone(), EngineConfig::default());
     single
         .add_rule(name, rules().remove(0).1)
         .expect("valid rule");

@@ -18,7 +18,7 @@
 //! emit. Both executors and both merge settings are covered.
 
 use proptest::prelude::*;
-use rceda::engine::{Engine, EngineConfig, ExecMode, RuleId};
+use rceda::engine::{Engine, EngineConfig, RuleId};
 use rceda::subsumes;
 use rfid_events::{EventExpr, Instance, Observation, Span, Timestamp};
 use rfid_simulator::{SimConfig, SupplyChain};
@@ -104,10 +104,9 @@ fn fixture() -> &'static Fixture {
 
 /// Runs a program and returns its sorted firing fingerprints. Rule slots
 /// are caller-assigned so the same rule keeps its id across variants.
-fn run(mode: ExecMode, merge: bool, rules: &[(u32, &EventExpr)]) -> Vec<Fingerprint> {
+fn run(merge: bool, rules: &[(u32, &EventExpr)]) -> Vec<Fingerprint> {
     let fx = fixture();
     let config = EngineConfig {
-        exec: mode,
         merge_subgraphs: merge,
         ..EngineConfig::default()
     };
@@ -150,7 +149,7 @@ proptest! {
     /// For every constructed (wide, narrow) pair the prover certifies,
     /// dropping the narrow rule leaves the survivors' firings untouched,
     /// and the narrow rule's firing instants nest inside the wide rule's —
-    /// under both executors and both merge settings.
+    /// under both merge settings.
     #[test]
     fn dropping_a_subsumed_rule_preserves_the_firing_multiset(
         axis in 0usize..3,
@@ -165,27 +164,25 @@ proptest! {
             subsumes(&wide, &narrow, Some(&fx.sim.catalog)).is_some(),
             "constructed pair on axis {axis} must be provable"
         );
-        for mode in [ExecMode::Plan, ExecMode::Graph] {
-            for merge in [true, false] {
-                let full = run(mode, merge, &[(0, &wide), (1, &narrow), (2, &extra)]);
-                let dropped = run(mode, merge, &[(0, &wide), (2, &extra)]);
-                let survivors: Vec<Fingerprint> =
-                    full.iter().copied().filter(|f| f.0 != 1).collect();
-                prop_assert_eq!(
-                    &survivors, &dropped,
-                    "dropping the subsumed rule changed a survivor ({:?}, merge={})",
-                    mode, merge
-                );
-                let narrow_ends: Vec<Timestamp> =
-                    full.iter().filter(|f| f.0 == 1).map(|f| f.2).collect();
-                let wide_ends: Vec<Timestamp> =
-                    full.iter().filter(|f| f.0 == 0).map(|f| f.2).collect();
-                prop_assert!(
-                    contained(&narrow_ends, &wide_ends),
-                    "narrow firings escaped the subsumer ({:?}, merge={}): {} narrow vs {} wide",
-                    mode, merge, narrow_ends.len(), wide_ends.len()
-                );
-            }
+        for merge in [true, false] {
+            let full = run(merge, &[(0, &wide), (1, &narrow), (2, &extra)]);
+            let dropped = run(merge, &[(0, &wide), (2, &extra)]);
+            let survivors: Vec<Fingerprint> =
+                full.iter().copied().filter(|f| f.0 != 1).collect();
+            prop_assert_eq!(
+                &survivors, &dropped,
+                "dropping the subsumed rule changed a survivor (merge={})",
+                merge
+            );
+            let narrow_ends: Vec<Timestamp> =
+                full.iter().filter(|f| f.0 == 1).map(|f| f.2).collect();
+            let wide_ends: Vec<Timestamp> =
+                full.iter().filter(|f| f.0 == 0).map(|f| f.2).collect();
+            prop_assert!(
+                contained(&narrow_ends, &wide_ends),
+                "narrow firings escaped the subsumer (merge={}): {} narrow vs {} wide",
+                merge, narrow_ends.len(), wide_ends.len()
+            );
         }
     }
 }

@@ -14,27 +14,28 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== tests (root package) =="
 cargo test -q
 
-echo "== plan/graph differential suite =="
-# The compiled-plan executor must stay bit-for-bit equivalent to the graph
-# walker: property tests compare the firing multiset and the stats counters
-# across ExecMode::{Plan,Graph} under both merge settings.
-cargo test -q -p rceda --test plan_equivalence
+echo "== reference-evaluator differential suite =="
+# The engine must detect exactly what docs/SEMANTICS.md says: property tests
+# compare its firing multiset with an independent brute-force reference
+# evaluator on generated programs covering every constructor, under both
+# merge settings.
+cargo test -q -p rceda --test reference_equivalence
 
 echo "== retention-bound differential suite =="
 # Enforcing the solved retention bounds (eager eviction) must preserve the
 # firing multiset exactly vs the conservative max_lag-padded eviction.
 cargo test -q -p rceda --test bounds_equivalence
 
-echo "== batch/scalar differential suite =="
-# The vectorized batch path must stay firing-identical to the scalar driver:
-# property tests compare the firing multiset and the detection counters
-# across batch sizes x ExecMode::{Plan,Graph} x bounds on/off x obs levels.
+echo "== batch-size differential suite =="
+# Chunking must never change detection: property tests compare the firing
+# multiset and the detection counters of per-observation `process` against
+# larger batches x bounds on/off x obs levels.
 cargo test -q -p rceda --test batch_equivalence
 
 echo "== subsumption-drop differential suite =="
 # Every relaxation the W006 prover admits must be semantically safe:
 # dropping a provably-subsumed rule preserves the survivors' firing
-# multiset under both executors and both merge settings.
+# multiset under both merge settings.
 cargo test -q -p rceda --test subsumption_drop
 
 echo "== lowered/interpreted firing differential suite =="
